@@ -19,7 +19,7 @@ from .enumerator import (
     trace_closed_form,
     trace_i2_specialization,
 )
-from .exact import ExactRational, binomial, hyp2f1_terminating
+from .exact import binomial, hyp2f1_terminating
 from .existence import (
     ExistenceVerdict,
     check,
@@ -30,7 +30,6 @@ from .existence import (
 )
 
 __all__ = [
-    "ExactRational",
     "ExistenceVerdict",
     "SystemParams",
     "TriangularSystem",

@@ -6,6 +6,10 @@ failing verification).  Algebraic quantities are always rendered exactly
 -- a bare integer when the denominator is 1, otherwise "p/q" -- and JSON
 carries numerator and denominator as decimal strings, since the values
 overflow 64-bit integers long before the desk-scale limits do.
+
+`table`, `check`, `scan` and `solve` build their values once and write them
+through the one output path `_emit`: JSON of the raw values, or md/csv lines
+whose cells all come from `_cell`.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -35,17 +40,33 @@ def json_exact(x: Fraction) -> dict[str, str]:
     return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _cell(value) -> str:
+    """One md/csv cell: exact Fractions, lowercase booleans, None left blank."""
+    if isinstance(value, Fraction):
+        return fmt_exact(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else str(value)
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    lines += ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join(lines)
+def _rows(rows) -> list[list[str]]:
+    return [[_cell(value) for value in row] for row in rows]
+
+
+def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
+    return ["| " + " | ".join(row) + " |" for row in [header, ["---"] * len(header), *rows]]
+
+
+def _csv(header: list[str], rows: list[list[str]]) -> list[str]:
+    return [",".join(header)] + [",".join(row) for row in rows]
+
+
+def _emit(fmt: str, doc: dict, md_lines: list[str], csv_lines: list[str]) -> None:
+    """Write one command's result in the requested format."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2, default=json_exact))
+    else:
+        print("\n".join(md_lines if fmt == "md" else csv_lines))
 
 
 # --- table ---------------------------------------------------------------
@@ -58,36 +79,18 @@ def cmd_table(args: argparse.Namespace) -> int:
     if n_min > n_max:
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
     columns = list(range(1, (n_max + 1) // 2 + 1))
-    rows = []
-    for n in range(n_min, n_max + 1):
-        params = SystemParams(n=n, d=d)
-        profile = solve_traces(params)
-        rows.append((n, {i: profile.traces[i] for i in range(1, params.i_max + 1)}))
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "table",
-                "d": d,
-                "n_min": n_min,
-                "n_max": n_max,
-                "columns": columns,
-                "rows": [
-                    {"n": n, "cells": {str(i): json_exact(v) for i, v in cells.items()}}
-                    for n, cells in rows
-                ],
-            }
-        )
-    elif args.format == "csv":
-        print(",".join(["n"] + [f"i={i}" for i in columns]))
-        for n, cells in rows:
-            print(",".join([str(n)] + [fmt_exact(cells[i]) if i in cells else "" for i in columns]))
-    else:
-        header = ["n"] + [f"i={i}" for i in columns]
-        body = [
-            [str(n)] + [fmt_exact(cells[i]) if i in cells else "" for i in columns]
-            for n, cells in rows
-        ]
-        print(_md_table(header, body))
+    traces = {n: solve_traces(SystemParams(n=n, d=d)).traces for n in range(n_min, n_max + 1)}
+    header = ["n"] + [f"i={i}" for i in columns]
+    rows = _rows([n] + [cells.get(i) for i in columns] for n, cells in traces.items())
+    doc = {
+        "command": "table",
+        "d": d,
+        "n_min": n_min,
+        "n_max": n_max,
+        "columns": columns,
+        "rows": [{"n": n, "cells": cells} for n, cells in traces.items()],
+    }
+    _emit(args.format, doc, _md_table(header, rows), _csv(header, rows))
     return 0
 
 
@@ -96,49 +99,26 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     verdict = check(SystemParams(n=args.n, d=args.d))
-    profile = verdict.profile
-    order = range(1, verdict.params.i_max + 1)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "check",
-                "n": args.n,
-                "d": args.d,
-                "scott_satisfied": verdict.scott_satisfied,
-                "ruled_out": verdict.ruled_out,
-                "witness_i": verdict.witness_i,
-                "traces": {str(i): json_exact(profile.traces[i]) for i in order},
-                "eigenvalues": {str(i): json_exact(profile.eigenvalues[i]) for i in order},
-            }
-        )
-    elif args.format == "csv":
-        print("n,d,i,trace,eigenvalue,scott_satisfied,ruled_out,witness_i")
-        for i in order:
-            print(
-                ",".join(
-                    [
-                        str(args.n),
-                        str(args.d),
-                        str(i),
-                        fmt_exact(profile.traces[i]),
-                        fmt_exact(profile.eigenvalues[i]),
-                        str(verdict.scott_satisfied).lower(),
-                        str(verdict.ruled_out).lower(),
-                        "" if verdict.witness_i is None else str(verdict.witness_i),
-                    ]
-                )
-            )
-    else:
-        body = [
-            [str(i), fmt_exact(profile.traces[i]), fmt_exact(profile.eigenvalues[i])]
-            for i in order
-        ]
-        print(_md_table(["i", "trace", "eigenvalue"], body))
-        print()
-        print(f"scott bound satisfied: {str(verdict.scott_satisfied).lower()}")
-        print(f"ruled out: {str(verdict.ruled_out).lower()}")
-        witness = "none" if verdict.witness_i is None else str(verdict.witness_i)
-        print(f"witness i: {witness}")
+    traces, eigenvalues = verdict.profile.traces, verdict.profile.eigenvalues
+    flags = {
+        "scott_satisfied": verdict.scott_satisfied,
+        "ruled_out": verdict.ruled_out,
+        "witness_i": verdict.witness_i,
+    }
+    doc = {"command": "check", "n": args.n, "d": args.d, **flags}
+    doc.update(traces=traces, eigenvalues=eigenvalues)
+    body = _rows([i, traces[i], eigenvalues[i]] for i in traces)
+    md = _md_table(["i", "trace", "eigenvalue"], body) + [
+        "",
+        f"scott bound satisfied: {_cell(verdict.scott_satisfied)}",
+        f"ruled out: {_cell(verdict.ruled_out)}",
+        f"witness i: {_cell(verdict.witness_i) or 'none'}",
+    ]
+    csv = _csv(
+        ["n", "d", "i", "trace", "eigenvalue", *flags],
+        _rows([args.n, args.d, *row, *flags.values()] for row in body),
+    )
+    _emit(args.format, doc, md, csv)
     return 2 if verdict.ruled_out else 0
 
 
@@ -150,143 +130,86 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise ValueError(f"need bounds >= 2, got d_max={args.d_max}, n_max={args.n_max}")
     verdicts = scan((2, args.d_max), (2, args.n_max))
     bad = i2_counterexamples(verdicts)
-    holds = not bad
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "scan",
-                "d_max": args.d_max,
-                "n_max": args.n_max,
-                "grid": [
-                    {
-                        "d": v.params.d,
-                        "n": v.params.n,
-                        "ruled_out": v.ruled_out,
-                        "witness_i": v.witness_i,
-                        "scott_satisfied": v.scott_satisfied,
-                    }
-                    for v in verdicts
-                ],
-                "first_negative_at_i2": {
-                    "holds": holds,
-                    "counterexamples": [{"d": p.d, "n": p.n} for p in bad],
-                },
-            }
-        )
-        return 0
-    summary = (
-        "first negative trace always at i=2: holds"
-        if holds
-        else "first negative trace always at i=2: fails at "
-        + ", ".join(f"(n={p.n}, d={p.d})" for p in bad)
+    header = ["d", "n", "ruled_out", "witness_i", "scott_satisfied"]
+    grid = [
+        dict(zip(header, (v.params.d, v.params.n, v.ruled_out, v.witness_i, v.scott_satisfied)))
+        for v in verdicts
+    ]
+    rows = _rows(point.values() for point in grid)
+    summary = "first negative trace always at i=2: " + (
+        "fails at " + ", ".join(f"(n={p.n}, d={p.d})" for p in bad) if bad else "holds"
     )
-    if args.format == "csv":
-        print("d,n,ruled_out,witness_i,scott_satisfied")
-        for v in verdicts:
-            print(
-                ",".join(
-                    [
-                        str(v.params.d),
-                        str(v.params.n),
-                        str(v.ruled_out).lower(),
-                        "" if v.witness_i is None else str(v.witness_i),
-                        str(v.scott_satisfied).lower(),
-                    ]
-                )
-            )
-        print(f"# {summary}")
-    else:
-        body = [
-            [
-                str(v.params.d),
-                str(v.params.n),
-                str(v.ruled_out).lower(),
-                "" if v.witness_i is None else str(v.witness_i),
-                str(v.scott_satisfied).lower(),
-            ]
-            for v in verdicts
-        ]
-        print(_md_table(["d", "n", "ruled_out", "witness_i", "scott_satisfied"], body))
-        print()
-        print(summary)
+    doc = {
+        "command": "scan",
+        "d_max": args.d_max,
+        "n_max": args.n_max,
+        "grid": grid,
+        "first_negative_at_i2": {
+            "holds": not bad,
+            "counterexamples": [{"d": p.d, "n": p.n} for p in bad],
+        },
+    }
+    md = _md_table(header, rows) + ["", summary]
+    _emit(args.format, doc, md, _csv(header, rows) + [f"# {summary}"])
     return 0
 
 
 # --- solve ---------------------------------------------------------------
 
 
-def _matrix_json(rows: tuple[tuple[Fraction, ...], ...]) -> list[list[dict[str, str]]]:
-    return [[json_exact(entry) for entry in row] for row in rows]
+def _md_block(title: str, header: list[str], rows) -> list[str]:
+    """`### title` over a table whose first column numbers the rows from 1."""
+    body = _rows([l, *row] for l, row in enumerate(rows, start=1))
+    return [f"### {title}", *_md_table(header, body)]
 
 
-def _print_md_matrix(title: str, rows) -> None:
-    size = len(rows)
-    print(f"### {title}")
-    header = ["l\\j"] + [str(j) for j in range(1, size + 1)]
-    body = [[str(l + 1)] + [fmt_exact(x) for x in row] for l, row in enumerate(rows)]
-    print(_md_table(header, body))
-    print()
+def _csv_matrix(section: str, matrix) -> list[list]:
+    return [[section, l, j, x] for l, row in enumerate(matrix, 1) for j, x in enumerate(row, 1)]
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = SystemParams(n=args.n, d=args.d)
     size = args.i if args.i is not None else params.i_max
     system = build_system(params, size, "A")
-    profile = solve_traces(params, i_max=size)
-    xs = [profile.traces[i] for i in range(1, size + 1)]
-    inverse = residual = None
+    xs = list(solve_traces(params, i_max=size).traces.values())
+    doc = {
+        "command": "solve",
+        "n": args.n,
+        "d": args.d,
+        "size": size,
+        "A": system.entries,
+        "T": system.rhs,
+        "x": xs,
+    }
+    corner = ["l\\j"] + [str(j) for j in range(1, size + 1)]
+    md = [
+        f"triangular system A for n={args.n}, d={args.d}, size {size}",
+        "",
+        *_md_block("A", corner, system.entries),
+        "",
+        *_md_block("T", ["l", "value"], [[t] for t in system.rhs]),
+        "",
+        *_md_block("x", ["i", "value"], [[x] for x in xs]),
+    ]
+    csv = _csv_matrix("A", system.entries)
+    csv += [["T", l, None, t] for l, t in enumerate(system.rhs, start=1)]
+    csv += [["x", i, None, x] for i, x in enumerate(xs, start=1)]
     if args.show_inverse:
         inverse = explicit_inverse(system)
-        residual = Fraction(0)
-        for l in range(size):
-            for j in range(size):
-                acc = sum(
-                    (system.entries[l][t] * inverse[t][j] for t in range(size)),
-                    Fraction(0),
-                )
-                target = Fraction(1) if l == j else Fraction(0)
-                residual = max(residual, abs(acc - target))
-    if args.format == "json":
-        doc = {
-            "command": "solve",
-            "n": args.n,
-            "d": args.d,
-            "size": size,
-            "A": _matrix_json(system.entries),
-            "T": [json_exact(t) for t in system.rhs],
-            "x": [json_exact(x) for x in xs],
-        }
-        if args.show_inverse:
-            doc["A_inverse"] = _matrix_json(inverse)
-            doc["max_inverse_residual"] = json_exact(residual)
-        _emit_json(doc)
-    elif args.format == "csv":
-        print("section,row,col,value")
-        for l, row in enumerate(system.entries, start=1):
-            for j, entry in enumerate(row, start=1):
-                print(f"A,{l},{j},{fmt_exact(entry)}")
-        for l, t in enumerate(system.rhs, start=1):
-            print(f"T,{l},,{fmt_exact(t)}")
-        for i, x in enumerate(xs, start=1):
-            print(f"x,{i},,{fmt_exact(x)}")
-        if args.show_inverse:
-            for l, row in enumerate(inverse, start=1):
-                for j, entry in enumerate(row, start=1):
-                    print(f"A_inv,{l},{j},{fmt_exact(entry)}")
-            print(f"residual,,,{fmt_exact(residual)}")
-    else:
-        print(f"triangular system A for n={args.n}, d={args.d}, size {size}")
-        print()
-        _print_md_matrix("A", system.entries)
-        print("### T")
-        print(_md_table(["l", "value"], [[str(l), fmt_exact(t)] for l, t in enumerate(system.rhs, start=1)]))
-        print()
-        print("### x")
-        print(_md_table(["i", "value"], [[str(i), fmt_exact(x)] for i, x in enumerate(xs, start=1)]))
-        if args.show_inverse:
-            print()
-            _print_md_matrix("A inverse", inverse)
-            print(f"max |A*A_inv - I| = {fmt_exact(residual)} (exact)")
+        residual = max(
+            abs(sum(row[t] * inverse[t][j] for t in range(size)) - int(l == j))
+            for l, row in enumerate(system.entries)
+            for j in range(size)
+        )
+        doc.update(A_inverse=inverse, max_inverse_residual=residual)
+        md += [
+            "",
+            *_md_block("A inverse", corner, inverse),
+            "",
+            f"max |A*A_inv - I| = {_cell(residual)} (exact)",
+        ]
+        csv += _csv_matrix("A_inv", inverse) + [["residual", None, None, residual]]
+    _emit(args.format, doc, md, _csv(["section", "row", "col", "value"], _rows(csv)))
     return 0
 
 
@@ -393,6 +316,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _tolerance(text: str) -> float:
+    """`--tol` value: NaN would fail every check and inf would pass any."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ame", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -428,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="oracle checks on a builtin or file state")
     p.add_argument("--state", required=True, metavar="builtin:NAME|PATH")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-graph", help="exhaustive AME graph-state search")

@@ -175,18 +175,26 @@ def solve_traces(params: SystemParams, i_max: int | None = None) -> WeightTraceP
     )
 
 
-def trace_closed_form(params: SystemParams, i: int) -> Fraction:
-    """tr(P_{m+i}^2) from the hypergeometric closed form, without any solve.
+def _closed_form_body(params: SystemParams, i: int) -> Fraction:
+    """(-1)^i C(i+m, 1+m) [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
 
-    Value: (-1)^i d^(i+m) C(i+m, 1+m)
-           * [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
+    Both closed forms are this value times a power of d.
     """
     _check_i_range(params, i)
     n, d, m = params.n, params.d, params.m
     series = hyp2f1_terminating(2 + m, i, Fraction(d * d))
     bracket = (1 + m) - _d_pow(d, 2 * (1 + m) - n) * (i + m) * series
     sign = -1 if i % 2 else 1
-    return sign * _d_pow(d, i + m) * binomial(i + m, 1 + m) * bracket / (i + m)
+    return sign * binomial(i + m, 1 + m) * bracket / (i + m)
+
+
+def trace_closed_form(params: SystemParams, i: int) -> Fraction:
+    """tr(P_{m+i}^2) from the hypergeometric closed form, without any solve.
+
+    Value: (-1)^i d^(i+m) C(i+m, 1+m)
+           * [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
+    """
+    return _d_pow(params.d, i + params.m) * _closed_form_body(params, i)
 
 
 def trace_i2_specialization(params: SystemParams) -> Fraction:
@@ -213,12 +221,7 @@ def eigenvalue_closed_form(params: SystemParams, i: int) -> Fraction:
     factor relation traces[i] = d^(m+i) * eigenvalues[i] is asserted in tests
     rather than used here.
     """
-    _check_i_range(params, i)
-    n, d, m = params.n, params.d, params.m
-    series = hyp2f1_terminating(2 + m, i, Fraction(d * d))
-    bracket = (1 + m) - _d_pow(d, 2 * (1 + m) - n) * (i + m) * series
-    sign = -1 if i % 2 else 1
-    return sign * binomial(i + m, 1 + m) * bracket / (i + m)
+    return _closed_form_body(params, i)
 
 
 def purity_identity_residual(params: SystemParams) -> Fraction:

@@ -10,12 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-#: Arbitrary-precision signed rational.  ``fractions.Fraction`` already stores
-#: values in lowest terms with a positive denominator, which is exactly the
-#: representation the exact formulas require.
-ExactRational = Fraction
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k), returning 0 whenever k is out of range.
 

@@ -37,6 +37,9 @@ class StateVector:
             raise ValueError(
                 f"amplitude vector must have length d**n = {dim}, got shape {amps.shape}"
             )
+        # NaN slips through the norm test below: abs(nan - 1) > tol is false
+        if not np.isfinite(amps).all():
+            raise ValueError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -184,7 +187,10 @@ def load_state(path) -> StateVector:
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise ValueError(f"state in {path} not normalized: norm = {norm!r}")
-    return StateVector(n, d, amps / norm)
+    # a NaN norm gets here; StateVector rejects the result, so dividing by it
+    # must not also print a RuntimeWarning
+    with np.errstate(invalid="ignore"):
+        return StateVector(n, d, amps / norm)
 
 
 def save_state(state: StateVector, path) -> None:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,34 @@ def test_verify_unnormalized_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--state", str(path))
     assert code == 1
     assert "not normalized" in err
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_verify_nan_state_file_is_input_error(capsys, tmp_path, position):
+    amplitudes = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    amplitudes[position] = [math.nan, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "amplitudes": amplitudes}))
+    code, out, err = run(capsys, "verify", "--state", str(path))
+    assert code == 1
+    assert "non-finite amplitudes" in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_non_finite_or_negative_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify", "--state", "builtin:bell(2)", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert "tolerance must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-9"])
+def test_verify_accepts_zero_and_small_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify", "--state", "builtin:bell(2)", "--tol", tol)
+    assert code in (0, 2)
+    assert err == ""
+    assert "result:" in out
 
 
 def test_verify_missing_file(capsys, tmp_path):

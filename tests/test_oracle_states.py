@@ -27,6 +27,14 @@ def test_state_vector_validation():
         StateVector(0, 2, np.array([1.0]))
 
 
+@pytest.mark.parametrize(
+    "bad", [math.nan, complex(0.0, math.nan), math.inf], ids=["nan", "imag-nan", "inf"]
+)
+def test_state_vector_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        StateVector(2, 2, np.array([bad, 0, 0, 1]))
+
+
 def test_amplitudes_are_frozen():
     state = bell(2)
     with pytest.raises(ValueError):
