@@ -33,6 +33,26 @@ def test_five_qubit_search_contains_ring():
     assert ring_graph(5, 2) in hits
 
 
+# exhaustive counts and first hits, frozen from the oracle itself; the first
+# six-qubit hit is the ame62 fixture
+@pytest.mark.parametrize(
+    "n, d, count, first",
+    [
+        (5, 2, 132, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)]),
+        (6, 2, 132, [(0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (2, 5), (3, 5), (4, 5)]),
+        (4, 3, 120, [(0, 2), (0, 3), (1, 2), (1, 3, 2)]),
+    ],
+)
+def test_search_hits_frozen_and_every_hit_verified(n, d, count, first):
+    hits = find_ame_graph(n, d)
+    assert len(hits) == count
+    assert hits[0] == GraphSpec.from_edges(n, d, first)
+    if (n, d) == (6, 2):
+        assert ame62_graph() == hits[0]
+    for spec in hits:
+        assert k_uniformity(graph_state(spec), n // 2).uniform
+
+
 def test_limit_truncates_deterministically():
     full = find_ame_graph(5, 2)
     assert find_ame_graph(5, 2, limit=3) == full[:3]
