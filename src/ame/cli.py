@@ -227,6 +227,7 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     """
     if state.n < 2:
         raise ValueError("verification needs at least two parties")
+    oracle.weights.check_desk_scale(state)
     params = SystemParams(n=state.n, d=state.d)
     m = params.m
     checks: list[tuple[str, bool, str]] = []

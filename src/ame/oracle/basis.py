@@ -13,7 +13,6 @@ r_alpha^2 -- the second, basis-dependent route to the numbers produced by
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -86,9 +85,6 @@ def weight_distribution_basis(state: StateVector) -> WeightDistribution:
         digit = (idx // (d * d) ** (n - 1 - j)) % (d * d)
         masks |= (digit != 0).astype(np.int64) << j
     acc = np.bincount(masks, weights=sq, minlength=2**n)
-    per_subset = {
-        S: d**w * float(acc[sum(1 << j for j in S)])
-        for w in range(1, n + 1)
-        for S in itertools.combinations(range(n), w)
-    }
-    return WeightDistribution(n=n, d=d, per_subset=per_subset)
+    return WeightDistribution.over_supports(
+        n, d, lambda S: d ** len(S) * float(acc[sum(1 << j for j in S)])
+    )

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from .states import GraphSpec, graph_state, site_digits
+from .states import GraphSpec, StateVector, graph_amplitudes
 from .weights import k_uniformity
 
 _STATE_CAP = 10**4
@@ -16,14 +16,6 @@ _BATCH = 4096
 # reduced-matrix check, so this only needs to be loose enough never to drop
 # a genuine hit
 _WINNOW_TOL = 1e-6
-
-
-def _spec_from_id(cid: int, n: int, d: int, edges, powers) -> GraphSpec:
-    adj = [[0] * n for _ in range(n)]
-    for (u, v), p in zip(edges, powers):
-        w = (cid // int(p)) % d
-        adj[u][v] = adj[v][u] = w
-    return GraphSpec(n=n, d=d, adjacency=tuple(tuple(row) for row in adj))
 
 
 def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
@@ -42,19 +34,16 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
         raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    n_edges = len(edges)
-    total = d**n_edges
-    dim = d**n
-    if dim > _STATE_CAP or total > _GRAPH_CAP:
+    n_edges = n * (n - 1) // 2
+    # d >= 2, so d**n exceeds its cap once n passes the cap's bit length;
+    # testing that first keeps an out-of-scale n from forming either power
+    if n > _STATE_CAP.bit_length() or d**n > _STATE_CAP or d**n_edges > _GRAPH_CAP:
         raise ValueError(
-            f"search out of desk scale: d**n = {dim} (cap {_STATE_CAP}), "
-            f"candidate count = {total} (cap {_GRAPH_CAP})"
+            f"search out of desk scale: need d**n <= {_STATE_CAP} and "
+            f"candidate count d**(n(n-1)/2) <= {_GRAPH_CAP}, got n={n}, d={d}"
         )
+    total = d**n_edges
     k = n // 2
-    digits = site_digits(n, d)
-    # s_u * s_v per basis state and edge, for the phase exponents
-    prod = np.stack([digits[:, u] * digits[:, v] for u, v in edges], axis=1)
     # one bipartition per complementary pair: for even n keep only k-sets
     # containing vertex 0 (purity is symmetric under complement on pure states)
     cuts = []
@@ -65,13 +54,13 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
         rest = tuple(ax for ax in range(1, n + 1) if ax not in axes)
         cuts.append((0,) + axes + rest)
     powers = d ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
+    upper = np.triu_indices(n, 1)
     target = float(d) ** (-k)
     found: list[GraphSpec] = []
     for start in range(0, total, _BATCH):
         ids = np.arange(start, min(start + _BATCH, total))
         weights = (ids[:, None] // powers[None, :]) % d
-        exponent = (weights @ prod.T) % d
-        amps = np.exp(2j * np.pi * exponent / d) * d ** (-n / 2.0)
+        amps = graph_amplitudes(n, d, weights)
         batch = amps.reshape((len(ids),) + (d,) * n)
         alive = np.ones(len(ids), dtype=bool)
         for perm in cuts:
@@ -82,10 +71,9 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
             purity = np.einsum("sac,sac->s", rho, rho.conj()).real
             ok = np.abs(purity - target) <= _WINNOW_TOL
             alive[np.flatnonzero(alive)[~ok]] = False
-        for cid in ids[alive]:
-            spec = _spec_from_id(int(cid), n, d, edges, powers)
-            if k_uniformity(graph_state(spec), k).uniform:
-                found.append(spec)
+        for row in np.flatnonzero(alive):
+            if k_uniformity(StateVector(n, d, amps[row]), k).uniform:
+                found.append(GraphSpec.from_edges(n, d, zip(*upper, weights[row])))
                 if limit is not None and len(found) >= limit:
                     return found
     return found

@@ -4,7 +4,9 @@ Amplitude indexing is fixed once and for all: the basis label
 (s_0, ..., s_{n-1}) sits at flat index sum_j s_j * d**j, party 0 least
 significant.  Everything downstream (reductions, the state-file format, the
 graph search) relies on this convention, so it is enforced here and nowhere
-re-derived.
+re-derived.  `graph_amplitudes` owns the graph phases, for `graph_state` and
+for the exhaustive search alike; the search still reshapes its batches into
+site tensors by the same party-0-least-significant rule.
 """
 
 from __future__ import annotations
@@ -32,17 +34,21 @@ class StateVector:
         if self.n < 1 or self.d < 2:
             raise ValueError(f"need n >= 1 and d >= 2, got n={self.n}, d={self.d}")
         amps = np.array(self.amplitudes, dtype=np.complex128)
-        dim = self.d**self.n
-        if amps.shape != (dim,):
+        # d >= 2, so d**n exceeds the count once n passes its bit length;
+        # testing that first keeps a huge claimed n from forming d**n
+        if amps.ndim != 1 or self.n > amps.size.bit_length() or self.d**self.n != amps.size:
             raise ValueError(
-                f"amplitude vector must have length d**n = {dim}, got shape {amps.shape}"
+                f"need d**n amplitudes for n={self.n}, d={self.d}, "
+                f"got {amps.size} (shape {amps.shape})"
             )
         # NaN slips through the norm test below: abs(nan - 1) > tol is false
         if not np.isfinite(amps).all():
             raise ValueError("state has non-finite amplitudes")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
+        # the squared norm is the trace every reduction is held to at this
+        # tolerance
+        norm_sq = float(np.vdot(amps, amps).real)
+        if abs(norm_sq - 1.0) > _NORM_TOL:
+            raise ValueError(f"state not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -59,12 +65,6 @@ class StateVector:
 def basis_index(labels: Sequence[int], d: int) -> int:
     """Flat index of the basis label (s_0, ..., s_{n-1})."""
     return sum(s * d**j for j, s in enumerate(labels))
-
-
-def site_digits(n: int, d: int) -> np.ndarray:
-    """Matrix D with D[i, j] = digit of party j in flat index i, shape (d**n, n)."""
-    idx = np.arange(d**n)
-    return (idx[:, None] // d ** np.arange(n)[None, :]) % d
 
 
 def bell(d: int = 2) -> StateVector:
@@ -148,19 +148,28 @@ def ring_graph(n: int, d: int = 2) -> GraphSpec:
     return GraphSpec.from_edges(n, d, [(j, (j + 1) % n) for j in range(n - 1)] + [(0, n - 1)])
 
 
-def graph_state(spec: GraphSpec) -> StateVector:
-    """Uniform superposition with one controlled-phase layer per weighted edge.
+def graph_amplitudes(n: int, d: int, weights) -> np.ndarray:
+    """Flat graph-state amplitudes for one row or a batch of rows of edge weights.
 
-    Each edge {u, v} of weight w multiplies the amplitude of |s> by
-    exp(2*pi*i * w * s_u * s_v / d).
+    Weights follow the lexicographic edge order (0,1), (0,2), ..., (n-2,n-1);
+    edge {u, v} of weight w multiplies the amplitude of |s> by
+    exp(2*pi*i * w * s_u * s_v / d).  The exponent is summed per vertex u, so
+    no (d**n, edges) matrix is formed.
     """
-    n, d = spec.n, spec.d
-    digits = site_digits(n, d)
-    exponent = np.zeros(d**n, dtype=np.int64)
-    for u, v, w in spec.edges():
-        exponent += w * digits[:, u] * digits[:, v]
-    amps = np.exp(2j * np.pi * (exponent % d) / d) * d ** (-n / 2.0)
-    return StateVector(n, d, amps)
+    w = np.asarray(weights, dtype=np.int64)
+    # digits[i, j] = digit of party j in flat index i
+    digits = (np.arange(d**n)[:, None] // d ** np.arange(n)) % d
+    blocks = np.split(w, np.cumsum(np.arange(n - 1, 0, -1))[:-1], axis=-1)
+    exponent = sum((b @ digits[:, u + 1 :].T) * digits[:, u] for u, b in enumerate(blocks))
+    # the d distinct phases, computed once and gathered by residue
+    phases = np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2.0)
+    return phases[exponent % d]
+
+
+def graph_state(spec: GraphSpec) -> StateVector:
+    """Uniform superposition with one controlled-phase layer per weighted edge."""
+    upper = np.array(spec.adjacency, dtype=np.int64)[np.triu_indices(spec.n, 1)]
+    return StateVector(spec.n, spec.d, graph_amplitudes(spec.n, spec.d, upper))
 
 
 def load_state(path) -> StateVector:
@@ -170,7 +179,7 @@ def load_state(path) -> StateVector:
 
     Normalization is checked at tolerance 1e-9 and the vector is then
     rescaled to unit norm so the StateVector invariant holds at machine
-    precision.
+    precision; StateVector rejects an n, d and amplitude count that disagree.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -180,10 +189,6 @@ def load_state(path) -> StateVector:
         amps = np.array([complex(re, im) for re, im in doc["amplitudes"]], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    if n < 1 or d < 2 or amps.shape != (d**n,):
-        raise ValueError(
-            f"malformed state file {path}: need n >= 1, d >= 2 and d**n amplitudes"
-        )
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > FILE_NORM_TOL:
         raise ValueError(f"state in {path} not normalized: norm = {norm!r}")

@@ -24,6 +24,12 @@ from .states import StateVector
 DESK_SCALE = 10**6
 
 
+def check_desk_scale(state: StateVector) -> None:
+    """Reject a state with d**n > DESK_SCALE before any work on it."""
+    if state.d**state.n > DESK_SCALE:
+        raise ValueError(f"state too large: d**n = {state.d**state.n} > {DESK_SCALE}")
+
+
 def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool = False):
     out = tuple(int(j) for j in sites)
     if not out and not allow_empty:
@@ -56,6 +62,9 @@ class DensityMatrix:
         dim = self.d ** len(self.parties)
         if rho.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {rho.shape}")
+        # every comparison below is false on NaN
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.abs(rho - rho.conj().T).max() > 1e-12:
             raise ValueError("density matrix not Hermitian")
         if abs(complex(np.trace(rho)).real - 1.0) > 1e-12:
@@ -97,16 +106,14 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
 def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
     """tr(P_S^2) for exact support S, via inclusion-exclusion over purities."""
     S = _validated_sites(state, sites)
-    return _mobius(state, S, {T: subset_purity(state, T)
-                              for r in range(len(S) + 1)
-                              for T in itertools.combinations(S, r)})
+    return _mobius(state, S, lambda T: subset_purity(state, T))
 
 
-def _mobius(state: StateVector, S: tuple[int, ...], purities) -> float:
+def _mobius(state: StateVector, S: tuple[int, ...], purity) -> float:
     acc = 0.0
     for r in range(len(S) + 1):
         sign = (-1) ** (len(S) - r)
-        block = sum(purities[T] for T in itertools.combinations(S, r))
+        block = sum(map(purity, itertools.combinations(S, r)))
         acc += sign * state.d**r * block
     return state.d ** len(S) * acc
 
@@ -119,6 +126,12 @@ class WeightDistribution:
     d: int
     per_subset: dict[tuple[int, ...], float]
 
+    @classmethod
+    def over_supports(cls, n: int, d: int, trace) -> "WeightDistribution":
+        """trace(S) for every nonempty support S, in (size, lexicographic) order."""
+        supports = (S for r in range(1, n + 1) for S in itertools.combinations(range(n), r))
+        return cls(n, d, {S: trace(S) for S in supports})
+
     def per_weight(self) -> dict[int, list[float]]:
         """Values grouped by |S|, in subset enumeration order."""
         out: dict[int, list[float]] = {w: [] for w in range(1, self.n + 1)}
@@ -130,22 +143,17 @@ class WeightDistribution:
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.
 
-    Subsets are enumerated by (size, lexicographic) order.  Desk scale only.
+    Supports arrive in (size, lexicographic) order, so every proper subset
+    of S is already in the purity table when S is reached.  Desk scale only.
     """
-    if state.d**state.n > DESK_SCALE:
-        raise ValueError(f"state too large: d**n = {state.d**state.n} > {DESK_SCALE}")
-    sites = range(state.n)
-    purities = {
-        T: subset_purity(state, T)
-        for r in range(state.n + 1)
-        for T in itertools.combinations(sites, r)
-    }
-    per_subset = {
-        S: _mobius(state, S, purities)
-        for r in range(1, state.n + 1)
-        for S in itertools.combinations(sites, r)
-    }
-    return WeightDistribution(n=state.n, d=state.d, per_subset=per_subset)
+    check_desk_scale(state)
+    purities = {(): subset_purity(state, ())}
+
+    def trace(S):
+        purities[S] = subset_purity(state, S)
+        return _mobius(state, S, purities.__getitem__)
+
+    return WeightDistribution.over_supports(state.n, state.d, trace)
 
 
 class UniformityReport(NamedTuple):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ame.cli import fmt_exact, main
+from ame.cli import fmt_exact, main, run_verification
 from ame.oracle import ghz, save_state
 from fractions import Fraction
 
@@ -189,6 +189,15 @@ def test_verify_nan_state_file_is_input_error(capsys, tmp_path, position):
     assert code == 1
     assert "non-finite amplitudes" in err
     assert "PASS" not in out
+
+
+def test_run_verification_checks_desk_scale_before_any_check(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("k_uniformity ran before the desk-scale check")
+
+    monkeypatch.setattr("ame.oracle.k_uniformity", unreachable)
+    with pytest.raises(ValueError, match="state too large"):
+        run_verification(ghz(20, 2), 1e-9)
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -77,6 +77,15 @@ def test_search_scale_guard():
         find_ame_graph(2, 150)  # state dimension over the cap
 
 
+@pytest.mark.parametrize("n, d", [(170, 2), (200, 3)])
+def test_search_scale_guard_forms_no_huge_power(n, d):
+    # the candidate count d**(n(n-1)/2) has thousands of digits here; the
+    # message names the caps, not that count
+    with pytest.raises(ValueError, match="desk scale") as info:
+        find_ame_graph(n, d)
+    assert len(str(info.value)) < 200
+
+
 def test_search_rejects_bad_limit():
     with pytest.raises(ValueError):
         find_ame_graph(4, 2, limit=0)

@@ -35,6 +35,18 @@ def test_state_vector_rejects_non_finite_amplitudes(bad):
         StateVector(2, 2, np.array([bad, 0, 0, 1]))
 
 
+def test_state_vector_rejects_huge_n_without_forming_d_to_the_n():
+    with pytest.raises(ValueError, match="need d\\*\\*n amplitudes for n=20000, d=2, got 1"):
+        StateVector(20000, 2, np.array([1.0]))
+
+
+def test_state_vector_norm_tolerance_is_the_reduction_trace_tolerance():
+    # |norm - 1| = 0.8e-12 but |norm^2 - 1| = 1.6e-12: every reduction of
+    # this vector would fail the 1e-12 trace check of DensityMatrix
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(2, 2, bell(2).amplitudes * (1 + 0.8e-12))
+
+
 def test_amplitudes_are_frozen():
     state = bell(2)
     with pytest.raises(ValueError):
@@ -165,4 +177,11 @@ def test_load_state_rejects_wrong_length(tmp_path):
     doc = {"n": 2, "d": 2, "amplitudes": [[1.0, 0.0]]}
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
+        load_state(path)
+
+
+def test_load_state_rejects_huge_claimed_n_at_once(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 16_000_000, "d": 3, "amplitudes": [[1.0, 0.0]]}))
+    with pytest.raises(ValueError, match="n=16000000, d=3, got 1"):
         load_state(path)

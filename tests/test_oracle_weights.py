@@ -56,6 +56,10 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix((0,), 2, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix((0,), 2, np.diag([1.5, -0.5]))  # negative eigenvalue
+    nan, inf = float("nan"), float("inf")
+    for entries in ([[nan, 0], [0, 1]], [[0.5, nan], [nan, 0.5]], [[inf, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            DensityMatrix((0,), 2, np.array(entries))
 
 
 def test_subset_purity_complement_symmetry():
