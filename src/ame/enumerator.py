@@ -5,16 +5,20 @@ state is absolutely maximally entangled, the traces x_i = tr(P_{m+i}^2) of its
 squared weight-(m+i) Bloch components satisfy a lower-triangular linear system
 whose rows come from the purity of the (m+i)-party reductions; the eigenvalues
 lam_{m+i} of those components satisfy a second triangular system with the same
-right-hand side.  This module builds both systems exactly, solves them by
-forward substitution, carries their explicit inverses, and evaluates the
-hypergeometric closed forms for the same quantities on an independent code
-path.  Forward substitution and the closed forms never call each other; their
-bit-exact agreement is the package's central correctness check.
+right-hand side.  Both matrices are one unit-diagonal Pascal block
+C(m+l, m+j) scaled by powers of d on its rows and columns, so one scale rule
+gives their entries, their explicit inverses and an integer forward
+substitution that never divides; solved values are still returned as
+`Fraction`.  The hypergeometric closed forms for the same quantities run on
+an independent code path.  Forward substitution and the closed forms never
+call each other; their bit-exact agreement is the package's central
+correctness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Literal
 
@@ -57,90 +61,100 @@ def _check_i_range(params: SystemParams, i: int) -> None:
         )
 
 
+# flavor -> (a, b): row l of the system carries d^-(a*m+l) and column j
+# carries d^-(b*j) around the unit-diagonal Pascal block C(m+l, m+j)
+_SCALE = {"A": (2, 1), "B": (1, 0)}
+
+
 @dataclass(frozen=True)
 class TriangularSystem:
-    """Lower-triangular system over exact rationals.
+    """Lower-triangular system over exact rationals, fixed by (params, flavor, size).
 
     Flavor "A" couples the squared-component traces x_j = tr(P_{m+j}^2);
     flavor "B" couples the eigenvalues lam_{m+j}.  Both share the right-hand
-    side entries d^-(n-(m+l)) - d^-(m+l).
+    side entries d^-(n-(m+l)) - d^-(m+l).  Row l, column j (1-based):
+
+        A_lj = d^(-2m-l-j) * C(m+l, m+j)
+        B_lj = d^(-m-l)    * C(m+l, m+j)
+
+    that is, one Pascal block P_lj = C(m+l, m+j) scaled on both sides by the
+    flavor's `_SCALE` rule.  `entries` and `rhs` are derived on first read.
     """
 
     params: SystemParams
     flavor: Flavor
     size: int
-    entries: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        _check_i_range(self.params, self.size)
+        if self.flavor not in _SCALE:
+            raise ValueError(f"flavor must be 'A' or 'B', got {self.flavor!r}")
+
+    def _scaled_rhs(self) -> list[int]:
+        """Row l of the right-hand side times its row factor d^(a*m+l): an integer."""
+        n, d, m = self.params.n, self.params.d, self.params.m
+        a, _ = _SCALE[self.flavor]
+        # n <= 2m+1, so both exponents are nonnegative
+        return [
+            d ** ((a + 1) * m + 2 * l - n) - d ** ((a - 1) * m) for l in range(1, self.size + 1)
+        ]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        d, m = self.params.d, self.params.m
+        a, b = _SCALE[self.flavor]
+        span = range(1, self.size + 1)
+        # binomial is 0 above the diagonal
+        return tuple(
+            tuple(Fraction(binomial(m + l, m + j), d ** (a * m + l + b * j)) for j in span)
+            for l in span
+        )
+
+    @cached_property
+    def rhs(self) -> tuple[Fraction, ...]:
+        d, m = self.params.d, self.params.m
+        a, _ = _SCALE[self.flavor]
+        return tuple(Fraction(t, d ** (a * m + l)) for l, t in enumerate(self._scaled_rhs(), 1))
 
 
 def build_system(params: SystemParams, i: int, flavor: Flavor) -> TriangularSystem:
-    """Populate the flavor-A or flavor-B triangular system of size i.
+    """The flavor-A or flavor-B triangular system of size i.
 
-    Row l, column j (1-based, j <= l):
-
-        A_lj = d^(-2m-l-j) * C(m+l, m+j)
-        B_lj = d^(-m-l)    * C(m+l, m+j)
-
-    Entries above the diagonal are zero; diagonals are nonzero, so forward
-    substitution solves either flavor uniquely.
+    Diagonals are nonzero, so forward substitution solves either flavor
+    uniquely; the entries are only formed when `entries` is read.
     """
-    _check_i_range(params, i)
-    if flavor not in ("A", "B"):
-        raise ValueError(f"flavor must be 'A' or 'B', got {flavor!r}")
-    n, d, m = params.n, params.d, params.m
-    rows = []
-    for l in range(1, i + 1):
-        row = []
-        for j in range(1, i + 1):
-            if j > l:
-                row.append(Fraction(0))
-            elif flavor == "A":
-                row.append(_d_pow(d, -2 * m - l - j) * binomial(m + l, m + j))
-            else:
-                row.append(_d_pow(d, -m - l) * binomial(m + l, m + j))
-        rows.append(tuple(row))
-    rhs = tuple(
-        _d_pow(d, -(n - (m + l))) - _d_pow(d, -(m + l)) for l in range(1, i + 1)
-    )
-    return TriangularSystem(params, flavor, i, tuple(rows), rhs)
+    return TriangularSystem(params, flavor, i)
 
 
 def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ...]:
     """Closed-form inverse of the system matrix, lower triangular again.
 
-    Flavor A inverse entry (l, j): (-1)^(l+j) d^(2m+l+j) C(m+l, m+j), which is
-    the forward entry with d replaced by (-d)^-1 (the even 2m in the exponent
-    leaves the sign depending on l+j only).  Flavor B inverse entry:
-    (-1)^(l+j) d^(m+j) C(m+l, m+j).  In both cases the product with the
-    forward matrix telescopes into alternating binomial sums that vanish off
-    the diagonal; tests multiply the matrices and demand the exact identity.
+    The signed Pascal block (-1)^(l+j) C(m+l, m+j) inverts P, so entry (l, j)
+    is (-1)^(l+j) d^(b*l+a*m+j) C(m+l, m+j): flavor A gives
+    (-1)^(l+j) d^(2m+l+j) C(m+l, m+j), flavor B (-1)^(l+j) d^(m+j) C(m+l, m+j).
+    Tests multiply the matrices and demand the exact identity, and compare the
+    entries with these two formulas written out.
     """
     d, m = system.params.d, system.params.m
-    size = system.size
-    rows = []
-    for l in range(1, size + 1):
-        row = []
-        for j in range(1, size + 1):
-            if j > l:
-                row.append(Fraction(0))
-            else:
-                sign = -1 if (l + j) % 2 else 1
-                if system.flavor == "A":
-                    row.append(sign * _d_pow(d, 2 * m + l + j) * binomial(m + l, m + j))
-                else:
-                    row.append(sign * _d_pow(d, m + j) * binomial(m + l, m + j))
-        rows.append(tuple(row))
-    return tuple(rows)
+    a, b = _SCALE[system.flavor]
+    span = range(1, system.size + 1)
+    return tuple(
+        tuple(
+            Fraction((-1) ** (l + j) * d ** (b * l + a * m + j) * binomial(m + l, m + j))
+            for j in span
+        )
+        for l in span
+    )
 
 
 def _forward_substitute(system: TriangularSystem) -> tuple[Fraction, ...]:
-    xs: list[Fraction] = []
-    for l in range(system.size):
-        acc = system.rhs[l]
-        for j in range(l):
-            acc -= system.entries[l][j] * xs[j]
-        xs.append(acc / system.entries[l][l])
-    return tuple(xs)
+    """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j."""
+    d, m = system.params.d, system.params.m
+    _, b = _SCALE[system.flavor]
+    zs: list[int] = []
+    for l, t in enumerate(system._scaled_rhs(), 1):
+        zs.append(t - sum(binomial(m + l, m + j) * z for j, z in enumerate(zs, 1)))
+    return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(zs, 1))
 
 
 @dataclass(frozen=True)

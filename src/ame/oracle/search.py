@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .states import GraphSpec, StateVector, graph_amplitudes
-from .weights import k_uniformity
+from .weights import _ket_matrix, k_uniformity
 
 _STATE_CAP = 10**4
 _GRAPH_CAP = 10**7
@@ -46,13 +46,11 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
     k = n // 2
     # one bipartition per complementary pair: for even n keep only k-sets
     # containing vertex 0 (purity is symmetric under complement on pure states)
-    cuts = []
-    for sites in itertools.combinations(range(n), k):
-        if n == 2 * k and 0 not in sites:
-            continue
-        axes = tuple(1 + (n - 1 - j) for j in sites)
-        rest = tuple(ax for ax in range(1, n + 1) if ax not in axes)
-        cuts.append((0,) + axes + rest)
+    cuts = [
+        sites
+        for sites in itertools.combinations(range(n), k)
+        if n != 2 * k or 0 in sites
+    ]
     powers = d ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
     upper = np.triu_indices(n, 1)
     target = float(d) ** (-k)
@@ -61,12 +59,11 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
         ids = np.arange(start, min(start + _BATCH, total))
         weights = (ids[:, None] // powers[None, :]) % d
         amps = graph_amplitudes(n, d, weights)
-        batch = amps.reshape((len(ids),) + (d,) * n)
         alive = np.ones(len(ids), dtype=bool)
-        for perm in cuts:
+        for sites in cuts:
             if not alive.any():
                 break
-            psi = batch[alive].transpose(perm).reshape(-1, d**k, d ** (n - k))
+            psi = _ket_matrix(amps[alive], n, d, sites)
             rho = np.einsum("sab,scb->sac", psi, psi.conj())
             purity = np.einsum("sac,sac->s", rho, rho.conj()).real
             ok = np.abs(purity - target) <= _WINNOW_TOL

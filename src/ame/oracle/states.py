@@ -5,8 +5,8 @@ Amplitude indexing is fixed once and for all: the basis label
 significant.  Everything downstream (reductions, the state-file format, the
 graph search) relies on this convention, so it is enforced here and nowhere
 re-derived.  `graph_amplitudes` owns the graph phases, for `graph_state` and
-for the exhaustive search alike; the search still reshapes its batches into
-site tensors by the same party-0-least-significant rule.
+for the exhaustive search alike; reductions and the search's bipartitions
+take their party axes from `weights._ket_matrix`, which reads this rule.
 """
 
 from __future__ import annotations
@@ -132,15 +132,6 @@ class GraphSpec:
             w = rest[0] if rest else 1
             adj[u][v] = adj[v][u] = w
         return cls(n, d, tuple(tuple(row) for row in adj))
-
-    def edges(self) -> list[tuple[int, int, int]]:
-        """Weighted edges (u, v, w) with u < v and w > 0, lexicographic order."""
-        return [
-            (u, v, self.adjacency[u][v])
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if self.adjacency[u][v]
-        ]
 
 
 def ring_graph(n: int, d: int = 2) -> GraphSpec:

@@ -42,11 +42,18 @@ def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool
     return tuple(sorted(out))
 
 
-def _ket_matrix(state: StateVector, keep: tuple[int, ...]) -> np.ndarray:
-    """Amplitudes as a (kept, traced-out) matrix, kept sites in ascending order."""
-    rest = tuple(j for j in range(state.n) if j not in keep)
-    t = state.site_tensor().transpose(keep + rest)
-    return np.ascontiguousarray(t).reshape(state.d ** len(keep), state.d ** len(rest))
+def _ket_matrix(amps: np.ndarray, n: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Flat amplitudes as (kept, traced-out) matrices, kept sites in ascending order.
+
+    `amps` is one state of d**n amplitudes or a batch of them along a leading
+    axis.  Party j is digit j of the flat index, least significant first, so
+    it sits on axis n-1-j of the plain reshape.
+    """
+    rest = tuple(j for j in range(n) if j not in keep)
+    batch = amps.shape[:-1]
+    axes = tuple(range(len(batch))) + tuple(len(batch) + n - 1 - j for j in keep + rest)
+    t = amps.reshape(batch + (d,) * n).transpose(axes)
+    return np.ascontiguousarray(t).reshape(batch + (d ** len(keep), d ** len(rest)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +89,7 @@ class DensityMatrix:
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on `keep` (ascending order), complement summed out."""
     sites = _validated_sites(state, keep)
-    psi = _ket_matrix(state, sites)
+    psi = _ket_matrix(state.amplitudes, state.n, state.d, sites)
     return DensityMatrix(parties=sites, d=state.d, entries=psi @ psi.conj().T)
 
 
@@ -98,7 +105,7 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
     if not S:
         norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
         return norm_sq * norm_sq
-    psi = _ket_matrix(state, S)
+    psi = _ket_matrix(state.amplitudes, state.n, state.d, S)
     rho = psi @ psi.conj().T
     return float(np.vdot(rho, rho).real)
 

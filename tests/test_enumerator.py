@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ame.enumerator import (
     SystemParams,
@@ -38,6 +41,39 @@ def test_system_b_one_by_one():
     sys_ = build_system(SystemParams(n=2, d=2), 1, "B")
     assert sys_.entries == ((Fraction(1, 4),),)
     assert sys_.rhs == (Fraction(3, 4),)
+
+
+# the paper's entries and inverses, per flavor, as d-power factors of
+# C(m+l, m+j) for j <= l; written out here rather than read from a scale rule
+PAPER_FORM = {
+    "A": (
+        lambda d, m, l, j: Fraction(d) ** (-2 * m - l - j),
+        lambda d, m, l, j: (-1) ** (l + j) * Fraction(d) ** (2 * m + l + j),
+    ),
+    "B": (
+        lambda d, m, l, j: Fraction(d) ** (-m - l),
+        lambda d, m, l, j: (-1) ** (l + j) * Fraction(d) ** (m + j),
+    ),
+}
+
+
+def test_entries_rhs_and_inverse_are_the_paper_form():
+    for params in GRID:
+        n, d, m = params.n, params.d, params.m
+        span = range(1, params.i_max + 1)
+        rhs = tuple(Fraction(d) ** (m + l - n) - Fraction(d) ** (-m - l) for l in span)
+        for flavor, (entry, inverse) in PAPER_FORM.items():
+            sys_ = build_system(params, params.i_max, flavor)
+            for matrix, factor in ((sys_.entries, entry), (explicit_inverse(sys_), inverse)):
+                assert matrix == tuple(
+                    tuple(
+                        factor(d, m, l, j) * math.comb(m + l, m + j) if j <= l else 0
+                        for j in span
+                    )
+                    for l in span
+                )
+                assert all(type(x) is Fraction for row in matrix for x in row)
+            assert sys_.rhs == rhs
 
 
 def test_systems_are_lower_triangular_with_nonzero_diagonal():
@@ -103,6 +139,23 @@ def test_closed_form_equals_solver():
         for i in range(1, params.i_max + 1):
             assert trace_closed_form(params, i) == profile.traces[i]
             assert eigenvalue_closed_form(params, i) == profile.eigenvalues[i]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(41, 200), st.integers(2, 12)),
+        st.tuples(st.integers(2, 40), st.integers(8, 16)),
+    )
+)
+def test_solver_equals_closed_form_off_the_grid(point):
+    params = SystemParams(*point)
+    profile = solve_traces(params)
+    for i in range(1, params.i_max + 1):
+        assert profile.traces[i] == trace_closed_form(params, i)
+        assert profile.eigenvalues[i] == eigenvalue_closed_form(params, i)
+        for value in (profile.traces[i], profile.eigenvalues[i]):
+            assert type(value) is Fraction and value.denominator == 1
 
 
 def test_trace_factors_through_eigenvalue():
