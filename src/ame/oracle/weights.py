@@ -1,14 +1,16 @@
 """Reduced density matrices, subsystem purities, and Bloch weight traces.
 
 The per-support weight trace is obtained by inclusion-exclusion over
-subsystem purities,
+subsystem purities, for every S at once by one subset-sum transform,
 
     tr(P_S^2) = d^|S| * sum_{T subseteq S} (-1)^(|S| - |T|) d^|T| tr(rho_T^2),
 
 with the empty reduction read as the scalar 1.  This route never chooses a
 generator basis, which makes it the reference implementation; the expansion
 in `basis` recomputes the same numbers from squared Bloch coefficients and
-the two must agree to 1e-9 on every state.
+the two must agree to 1e-9 on every state.  Purities and the projector
+check work on the Schmidt side, rho_A^2 - c rho_A = psi (G - c) psi^dag with
+G = psi^dag psi; what they form and validate is at most d^floor(n/2) a side.
 """
 
 from __future__ import annotations
@@ -112,17 +114,20 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
 
 def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
     """tr(P_S^2) for exact support S, via inclusion-exclusion over purities."""
-    S = _validated_sites(state, sites)
-    return _mobius(state, S, lambda T: subset_purity(state, T))
+    return _weight_traces(state, _validated_sites(state, sites))[-1]
 
 
-def _mobius(state: StateVector, S: tuple[int, ...], purity) -> float:
-    acc = 0.0
-    for r in range(len(S) + 1):
-        sign = (-1) ** (len(S) - r)
-        block = sum(map(purity, itertools.combinations(S, r)))
-        acc += sign * state.d**r * block
-    return state.d ** len(S) * acc
+def _weight_traces(state: StateVector, sites: tuple[int, ...]) -> list[float]:
+    """tr(P_T^2) for every T subseteq sites, indexed by bitmask (sites[i] -> bit i).
+
+    The sum factorises: each party weighs T by d^2 if T holds it, else by -d.
+    """
+    subsets = ([s for i, s in enumerate(sites) if m >> i & 1] for m in range(2 ** len(sites)))
+    w = np.array([subset_purity(state, T) for T in subsets])
+    for i in range(len(sites)):
+        pairs = w.reshape(-1, 2, 2**i)
+        pairs[:, 1] = state.d * (state.d * pairs[:, 1] - pairs[:, 0])
+    return w.tolist()
 
 
 @dataclass(frozen=True)
@@ -148,19 +153,10 @@ class WeightDistribution:
 
 
 def weight_distribution(state: StateVector) -> WeightDistribution:
-    """Weight traces for every nonempty support, purity route.
-
-    Supports arrive in (size, lexicographic) order, so every proper subset
-    of S is already in the purity table when S is reached.  Desk scale only.
-    """
+    """Weight traces for every nonempty support, purity route.  Desk scale only."""
     check_desk_scale(state)
-    purities = {(): subset_purity(state, ())}
-
-    def trace(S):
-        purities[S] = subset_purity(state, S)
-        return _mobius(state, S, purities.__getitem__)
-
-    return WeightDistribution.over_supports(state.n, state.d, trace)
+    tr = _weight_traces(state, tuple(range(state.n)))
+    return WeightDistribution.over_supports(state.n, state.d, lambda S: tr[sum(2**j for j in S)])
 
 
 class UniformityReport(NamedTuple):
@@ -186,11 +182,15 @@ def projector_property_residual(state: StateVector, keep: Iterable[int]) -> floa
     Vanishes exactly when the traced-out reduction is maximally mixed, which
     is the situation for every reduction of an AME state retaining at least
     n - floor(n/2) parties; the keep-set size is restricted accordingly.
+    Computed on the Schmidt side as psi (G - d^(-k) I) psi^dag, with psi the
+    (kept, traced-out) amplitudes and G = psi^dag psi, d^k a side, the
+    transposed k-party reduction; `DensityMatrix` validates G, not rho_A.
     """
     sites = _validated_sites(state, keep)
     least = state.n - state.n // 2
     if len(sites) < least:
         raise ValueError(f"keep-set must retain >= n - floor(n/2) = {least} parties")
-    k = state.n - len(sites)
-    rho = partial_trace(state, sites).entries
-    return float(np.abs(rho @ rho - state.d ** (-k) * rho).max())
+    rest = tuple(j for j in range(state.n) if j not in sites)
+    psi = _ket_matrix(state.amplitudes, state.n, state.d, sites)
+    gram = DensityMatrix(parties=rest, d=state.d, entries=(psi.conj().T @ psi).T).entries.T
+    return float(np.abs(psi @ (gram - np.eye(len(gram)) / len(gram)) @ psi.conj().T).max())

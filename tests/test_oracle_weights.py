@@ -1,16 +1,23 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from ame.oracle import (
+    BUILTIN_NAMES,
     DensityMatrix,
+    GraphSpec,
     StateVector,
+    ame43,
     bell,
+    builtin_state,
     ghz,
+    graph_state,
     k_uniformity,
     partial_trace,
     projector_property_residual,
+    ring5,
     subset_purity,
     subset_weight_trace,
     weight_distribution,
@@ -171,3 +178,72 @@ def test_projector_residual_ghz4_violated():
 def test_projector_residual_rejects_small_keep():
     with pytest.raises(ValueError):
         projector_property_residual(ghz(5, 2), (0, 1))
+
+
+# --- Schmidt-side residual and the bitmask transform against written-out sums
+
+
+def _graph_state(n, seed):
+    rng = random.Random(seed)
+    edges = [(u, v, rng.randrange(2)) for u in range(n) for v in range(u + 1, n)]
+    return graph_state(GraphSpec.from_edges(n, 2, edges))
+
+
+RESIDUAL_STATES = (
+    [builtin_state(name) for name in BUILTIN_NAMES]
+    + [ghz(4), ghz(7)]
+    + [_graph_state(n, seed) for n, seed in ((8, 1), (9, 2), (10, 3))]
+    + [_random_state(n, d, seed) for n, d, seed in ((5, 2, 31), (8, 2, 32), (4, 3, 33))]
+)
+
+
+def _keep_sets(n, seed):
+    """Every admissible keep-set up to n = 7; beyond, a seeded dozen and the full set."""
+    admissible = [
+        keep for r in range(n - n // 2, n + 1) for keep in itertools.combinations(range(n), r)
+    ]
+    if n <= 7:
+        return admissible
+    picks = np.random.default_rng(seed).choice(len(admissible) - 1, 12, replace=False)
+    return [admissible[i] for i in picks] + [admissible[-1]]
+
+
+@pytest.mark.parametrize("idx", range(len(RESIDUAL_STATES)))
+def test_projector_residual_equals_full_side_formula(idx):
+    state = RESIDUAL_STATES[idx]
+    for keep in _keep_sets(state.n, idx):
+        rho = partial_trace(state, keep).entries
+        k = state.n - len(keep)
+        want = float(np.abs(rho @ rho - state.d ** (-k) * rho).max())
+        assert abs(projector_property_residual(state, keep) - want) <= 1e-14, keep
+
+
+def _inclusion_exclusion(state, S):
+    d = state.d
+    return d ** len(S) * sum(
+        (-1) ** (len(S) - r) * d**r * subset_purity(state, T)
+        for r in range(len(S) + 1)
+        for T in itertools.combinations(S, r)
+    )
+
+
+TRANSFORM_STATES = {
+    "bell3": bell(3),
+    "ghz4": ghz(4),
+    "ame43": ame43(),
+    "ring5": ring5(),
+    "graph6": _graph_state(6, 4),
+    "haar5": _random_state(5, 2, 41),
+    "haar3-qutrit": _random_state(3, 3, 42),
+}
+
+
+@pytest.mark.parametrize("state", TRANSFORM_STATES.values(), ids=TRANSFORM_STATES.keys())
+def test_bitmask_transform_equals_inclusion_exclusion(state):
+    dist = weight_distribution(state).per_subset
+    assert len(dist) == 2**state.n - 1
+    for S, value in dist.items():
+        want = _inclusion_exclusion(state, S)
+        bound = 1e-12 * state.d ** (2 * len(S))
+        assert abs(value - want) <= bound, S
+        assert abs(subset_weight_trace(state, S) - want) <= bound, S
