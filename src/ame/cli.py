@@ -7,9 +7,10 @@ failing verification).  Algebraic quantities are always rendered exactly
 carries numerator and denominator as decimal strings, since the values
 overflow 64-bit integers long before the desk-scale limits do.
 
-`table`, `check`, `scan` and `solve` build their values once and write them
-through the one output path `_emit`: JSON of the raw values, or md/csv lines
-whose cells all come from `_cell`.
+`table`, `check`, `scan` and `solve` check their largest system against the
+size caps in `_check_size` before any solve, then build their values once and
+write them through the one output path `_emit`: JSON of the raw values, or
+md/csv lines whose cells all come from `_cell`.
 """
 
 from __future__ import annotations
@@ -69,6 +70,23 @@ def _emit(fmt: str, doc: dict, md_lines: list[str], csv_lines: list[str]) -> Non
         print("\n".join(md_lines if fmt == "md" else csv_lines))
 
 
+# Per-system caps.  On a 2-core host `check` takes under a second at n = 512
+# and about 21 s at n = 1500 (roughly n^3); the bit length of d**n bounds the
+# integers the solve carries.
+MAX_N = 512
+MAX_BITS = 2048
+
+
+def _check_size(n: int, d: int) -> None:
+    """Reject a system past the caps before any work; d >= 2 is assumed checked."""
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the cap n <= {MAX_N}")
+    # floor(n log2 d) + 1, without forming d**n
+    bits = math.floor(n * math.log2(d)) + 1
+    if bits > MAX_BITS:
+        raise ValueError(f"d**n has {bits} bits, above the cap of {MAX_BITS} bits")
+
+
 # --- table ---------------------------------------------------------------
 
 
@@ -78,6 +96,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise ValueError(f"need d >= 2 and n >= 2, got d={d}, n_min={n_min}")
     if n_min > n_max:
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
+    _check_size(n_max, d)
     columns = list(range(1, (n_max + 1) // 2 + 1))
     traces = {n: solve_traces(SystemParams(n=n, d=d)).traces for n in range(n_min, n_max + 1)}
     header = ["n"] + [f"i={i}" for i in columns]
@@ -98,7 +117,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    verdict = check(SystemParams(n=args.n, d=args.d))
+    params = SystemParams(n=args.n, d=args.d)
+    _check_size(params.n, params.d)
+    verdict = check(params)
     traces, eigenvalues = verdict.profile.traces, verdict.profile.eigenvalues
     flags = {
         "scott_satisfied": verdict.scott_satisfied,
@@ -128,6 +149,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.d_max < 2 or args.n_max < 2:
         raise ValueError(f"need bounds >= 2, got d_max={args.d_max}, n_max={args.n_max}")
+    _check_size(args.n_max, args.d_max)
     verdicts = scan((2, args.d_max), (2, args.n_max))
     bad = i2_counterexamples(verdicts)
     header = ["d", "n", "ruled_out", "witness_i", "scott_satisfied"]
@@ -169,6 +191,7 @@ def _csv_matrix(section: str, matrix) -> list[list]:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     params = SystemParams(n=args.n, d=args.d)
+    _check_size(params.n, params.d)
     size = args.i if args.i is not None else params.i_max
     system = build_system(params, size, "A")
     xs = list(solve_traces(params, i_max=size).traces.values())

@@ -1,11 +1,13 @@
 import json
 import math
+import random
+import time
 
 import numpy as np
 import pytest
 
-from ame.cli import fmt_exact, main, run_verification
-from ame.oracle import ghz, save_state
+from ame.cli import MAX_BITS, MAX_N, _check_size, fmt_exact, main, run_verification
+from ame.oracle import DensityMatrix, GraphSpec, ghz, graph_state, save_state
 from fractions import Fraction
 
 from reference_values import QUBIT_TRACES
@@ -198,6 +200,71 @@ def test_run_verification_checks_desk_scale_before_any_check(monkeypatch):
     monkeypatch.setattr("ame.oracle.k_uniformity", unreachable)
     with pytest.raises(ValueError, match="state too large"):
         run_verification(ghz(20, 2), 1e-9)
+
+
+def _random_graph_state(n, seed):
+    rng = random.Random(seed)
+    edges = [(u, v, rng.randrange(2)) for u in range(n) for v in range(u + 1, n)]
+    return graph_state(GraphSpec.from_edges(n, 2, edges))
+
+
+@pytest.mark.parametrize(
+    "state", [ghz(10), _random_graph_state(10, 5)], ids=["ghz10", "graph10"]
+)
+def test_verification_decomposes_only_small_side_reductions(monkeypatch, state):
+    n, d = state.n, state.d
+    sides = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sides.append(a.shape[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    built = []
+    post_init = DensityMatrix.__post_init__
+
+    def count(self):
+        built.append(len(self.parties))
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", count)
+    run_verification(state, 1e-9)
+    assert max(sides) <= d ** (n // 2)
+    # one validated reduction per k-uniformity site set and per projector keep-set
+    m = n // 2
+    validated = math.comb(n, m) + sum(math.comb(n, size) for size in range(n - m, n + 1))
+    assert len(built) >= validated
+    assert len(sides) == len(built)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--n", "1500", "--d", "2"],
+        ["table", "--d", "2", "--n-min", "2", "--n-max", "10000"],
+        ["scan", "--d-max", "3", "--n-max", "2000"],
+        ["solve", "--n", "900", "--d", "2"],
+        ["check", "--n", "300", "--d", str(10**15)],
+        ["scan", "--d-max", str(2**40), "--n-max", "60"],
+    ],
+)
+def test_size_caps_exit_one_before_any_solve(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert f"cap n <= {MAX_N}" in err or f"cap of {MAX_BITS} bits" in err
+
+
+def test_size_caps_admit_desk_scale_points():
+    # the benchmark's deepest systems, the scan grid d <= 10 x n <= 100 and
+    # every golden case lie inside the caps
+    for n, d in [(320, 10), (100, 10), (13, 3), (MAX_N, 2)]:
+        _check_size(n, d)
+    with pytest.raises(ValueError, match="bits"):
+        _check_size(MAX_N, 16)  # 2049 bits
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
