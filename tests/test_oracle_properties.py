@@ -1,0 +1,84 @@
+"""Invariances the physics guarantees, on Haar-random states.
+
+The purity route and the Bloch-basis route must agree support by support,
+weight traces are local-unitary invariants, and relabelling the parties
+relabels the supports.  States are drawn from a seed so that hypothesis can
+shrink a failure to a reproducible (n, d, seed).
+
+Values reach d^(2n) (about 2.6e5 at n = 6, d = 3), where the alternating
+inclusion-exclusion sum alone rounds by a few 1e-9, so a gap is held to TOL
+absolute below 1 and to TOL relative above it.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ame.oracle import StateVector, weight_distribution, weight_distribution_basis
+
+TOL = 1e-9
+
+shapes = st.tuples(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+
+
+def _haar_vector(rng, size):
+    v = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return v / np.linalg.norm(v)
+
+
+def _haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _from_sites(t, d):
+    """StateVector from a tensor whose axis j is party j."""
+    n = t.ndim
+    flat = t.transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
+    return StateVector(n, d, flat / np.linalg.norm(flat))
+
+
+def _max_gap(a, b, relabel=lambda S: S):
+    assert len(a.per_subset) == len(b.per_subset)
+    return max(
+        abs(value - b.per_subset[relabel(S)]) / max(1.0, abs(value))
+        for S, value in a.per_subset.items()
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_purity_route_equals_basis_route(shape):
+    n, d, seed = shape
+    state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
+    assert _max_gap(weight_distribution(state), weight_distribution_basis(state)) <= TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_weights_invariant_under_local_unitaries(shape):
+    n, d, seed = shape
+    rng = np.random.default_rng(seed)
+    state = StateVector(n, d, _haar_vector(rng, d**n))
+    t = state.site_tensor()
+    for j in range(n):
+        t = np.moveaxis(np.tensordot(_haar_unitary(rng, d), t, axes=(1, j)), 0, j)
+    rotated = _from_sites(t, d)
+    assert _max_gap(weight_distribution(state), weight_distribution(rotated)) <= TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_permuting_parties_permutes_supports(shape):
+    n, d, seed = shape
+    rng = np.random.default_rng(seed)
+    state = StateVector(n, d, _haar_vector(rng, d**n))
+    perm = rng.permutation(n)
+    # party i of the relabelled state is party perm[i] of the original
+    relabelled = _from_sites(state.site_tensor().transpose(perm), d)
+
+    def original_support(S):
+        return tuple(sorted(int(perm[i]) for i in S))
+
+    dist = weight_distribution(relabelled)
+    assert _max_gap(dist, weight_distribution(state), original_support) <= TOL
