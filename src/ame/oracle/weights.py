@@ -8,9 +8,9 @@ subsystem purities, for every S at once by one subset-sum transform,
 with the empty reduction read as the scalar 1.  This route never chooses a
 generator basis, which makes it the reference implementation; the expansion
 in `basis` recomputes the same numbers from squared Bloch coefficients and
-the two must agree to 1e-9 on every state.  Purities and the projector
-check work on the Schmidt side, rho_A^2 - c rho_A = psi (G - c) psi^dag with
-G = psi^dag psi; what they form and validate is at most d^floor(n/2) a side.
+the two must agree to 1e-9 on every state.  Reductions stay on the Schmidt
+side (<= d^floor(n/2) a side): purities read the smaller one; the projector
+check validates G = psi^dag psi, using rho_A^2 - c rho_A = psi (G - c) psi^dag.
 """
 
 from __future__ import annotations
