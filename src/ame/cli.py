@@ -8,9 +8,11 @@ carries numerator and denominator as decimal strings, since the values
 overflow 64-bit integers long before the desk-scale limits do.
 
 `table`, `check`, `scan` and `solve` check their largest system against the
-size caps in `_check_size` before any solve, then build their values once and
-write them through the one output path `_emit`: JSON of the raw values, or
-md/csv lines whose cells all come from `_cell`.
+size caps in `_check_size` before any solve; `table`, `scan` and `solve` also
+check the summed work of every system they will solve against `MAX_WORK` in
+`_check_work`.  They then build their values once and write them through the
+one output path `_emit`: JSON of the raw values, or md/csv lines whose cells
+all come from `_cell`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import oracle
 from .enumerator import (
@@ -87,6 +90,44 @@ def _check_size(n: int, d: int) -> None:
         raise ValueError(f"d**n has {bits} bits, above the cap of {MAX_BITS} bits")
 
 
+# Work cap of one request.  A unit is about one integer product of the forward
+# substitution on a system whose d**n has at most 1024 bits; longer integers
+# cost proportionally more.  On a 2-core host a unit takes 0.3-0.5 us, and the
+# largest requests the cap admits take 5-7 s: `table --d 2 --n-max 512`,
+# `table --d 10 --n-max 454`, `scan --d-max 10 --n-max 245` and
+# `solve --n 284 --d 2 --show-inverse`.
+MAX_WORK = 2**24
+
+
+def _work(n: int, d: int, size: int | None = None, dump: bool = False, inverse: bool = False) -> float:
+    """Estimated work units to solve (n, d) at `size` (default the full system).
+
+    `dump` adds forming and rendering the size**2 matrix entries; `inverse`
+    adds as many inverse entries and the size**3/6 products of its residual.
+    """
+    if size is None:
+        size = n - n // 2
+    units = size * size + 256
+    if dump:
+        units += 40 * size * size
+    if inverse:
+        units += 40 * size * size + 4 * size**3
+    return units * (1 + n * math.log2(d) / 1024)
+
+
+def _check_work(works: Iterable[float]) -> None:
+    """Reject a request before any solve once its summed work passes `MAX_WORK`.
+
+    The sum stops at the cap, so a grid too wide to enumerate (`scan` with a
+    huge d_max) is refused after at most MAX_WORK / 256 systems.
+    """
+    total = 0.0
+    for work in works:
+        total += work
+        if total > MAX_WORK:
+            raise ValueError(f"the request needs more than the work cap of {MAX_WORK} units")
+
+
 # --- table ---------------------------------------------------------------
 
 
@@ -97,6 +138,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     if n_min > n_max:
         raise ValueError(f"empty range: n_min={n_min} > n_max={n_max}")
     _check_size(n_max, d)
+    _check_work(_work(n, d) for n in range(n_min, n_max + 1))
     columns = list(range(1, (n_max + 1) // 2 + 1))
     traces = {n: solve_traces(SystemParams(n=n, d=d)).traces for n in range(n_min, n_max + 1)}
     header = ["n"] + [f"i={i}" for i in columns]
@@ -150,6 +192,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.d_max < 2 or args.n_max < 2:
         raise ValueError(f"need bounds >= 2, got d_max={args.d_max}, n_max={args.n_max}")
     _check_size(args.n_max, args.d_max)
+    _check_work(_work(n, d) for d in range(2, args.d_max + 1) for n in range(2, args.n_max + 1))
     verdicts = scan((2, args.d_max), (2, args.n_max))
     bad = i2_counterexamples(verdicts)
     header = ["d", "n", "ruled_out", "witness_i", "scott_satisfied"]
@@ -189,11 +232,29 @@ def _csv_matrix(section: str, matrix) -> list[list]:
     return [[section, l, j, x] for l, row in enumerate(matrix, 1) for j, x in enumerate(row, 1)]
 
 
+def _inverse_residual(matrix, inverse) -> Fraction:
+    """max |matrix * inverse - I| over every entry, for two lower-triangular matrices.
+
+    Both upper triangles, as formed, must be exactly zero; then so is the
+    product's, and its entry (l, j) with l >= j sums only t in [j, l]: about a
+    sixth of the products of the full matrix product.
+    """
+    size = len(matrix)
+    if any(matrix[l][j] or inverse[l][j] for l in range(size) for j in range(l + 1, size)):
+        raise ArithmeticError("a triangular factor has a nonzero entry above its diagonal")
+    return max(
+        abs(sum(matrix[l][t] * inverse[t][j] for t in range(j, l + 1)) - int(l == j))
+        for l in range(size)
+        for j in range(l + 1)
+    )
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     params = SystemParams(n=args.n, d=args.d)
     _check_size(params.n, params.d)
     size = args.i if args.i is not None else params.i_max
     system = build_system(params, size, "A")
+    _check_work([_work(params.n, params.d, size, dump=True, inverse=args.show_inverse)])
     xs = list(solve_traces(params, i_max=size).traces.values())
     doc = {
         "command": "solve",
@@ -219,11 +280,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     csv += [["x", i, None, x] for i, x in enumerate(xs, start=1)]
     if args.show_inverse:
         inverse = explicit_inverse(system)
-        residual = max(
-            abs(sum(row[t] * inverse[t][j] for t in range(size)) - int(l == j))
-            for l, row in enumerate(system.entries)
-            for j in range(size)
-        )
+        residual = _inverse_residual(system.entries, inverse)
         doc.update(A_inverse=inverse, max_inverse_residual=residual)
         md += [
             "",

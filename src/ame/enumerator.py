@@ -8,21 +8,25 @@ lam_{m+i} of those components satisfy a second triangular system with the same
 right-hand side.  Both matrices are one unit-diagonal Pascal block
 C(m+l, m+j) scaled by powers of d on its rows and columns, so one scale rule
 gives their entries, their explicit inverses and an integer forward
-substitution that never divides; solved values are still returned as
-`Fraction`.  The hypergeometric closed forms for the same quantities run on
-an independent code path.  Forward substitution and the closed forms never
-call each other; their bit-exact agreement is the package's central
-correctness check.
+substitution that never divides; it steps one Pascal row to the next by
+additions instead of computing a binomial per entry.  Solved values are still
+returned as `Fraction`.  The hypergeometric closed forms for the same
+quantities run on an independent code path: one sweep of Gauss's contiguous
+relation gives the terminating 2F1 for every i of an (n, d), and the per-i
+closed forms read it.  Forward substitution and the closed forms never call
+each other and share nothing beyond `binomial`; their bit-exact agreement is
+the package's central correctness check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Literal
 
-from .exact import binomial, hyp2f1_terminating
+from .exact import binomial
 
 Flavor = Literal["A", "B"]
 
@@ -148,12 +152,26 @@ def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ..
 
 
 def _forward_substitute(system: TriangularSystem) -> tuple[Fraction, ...]:
-    """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j."""
+    """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j.
+
+    Row l of the block below its diagonal, C(m+l, m+j) for j = 1..l-1, is kept
+    in one list and stepped to row l+1 in place by Pascal's rule, right to
+    left; only its lead C(m+l, m), which lies outside the block, is stepped by
+    an exact multiply and floor-divide.  So each z_l costs l additions and one
+    dot product, and no binomial is computed from scratch.
+    """
     d, m = system.params.d, system.params.m
     _, b = _SCALE[system.flavor]
     zs: list[int] = []
+    row: list[int] = []
+    lead = m + 1
     for l, t in enumerate(system._scaled_rhs(), 1):
-        zs.append(t - sum(binomial(m + l, m + j) * z for j, z in enumerate(zs, 1)))
+        zs.append(t - sum(map(mul, row, zs)))
+        row.append(1)
+        for k in range(l - 1, 0, -1):
+            row[k] += row[k - 1]
+        row[0] += lead
+        lead = lead * (m + l + 1) // (l + 1)
     return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(zs, 1))
 
 
@@ -189,6 +207,32 @@ def solve_traces(params: SystemParams, i_max: int | None = None) -> WeightTraceP
     )
 
 
+@lru_cache(maxsize=1)
+def _hyp2f1_sweep(params: SystemParams) -> tuple[Fraction, ...]:
+    """F_i = 2F1(1, 1-i; m+2; d^2) for i = 1..i_max, entry i-1, in one sweep.
+
+    Gauss's contiguous relation in b (DLMF 15.5.11 with a and b swapped, a = 1),
+
+        (c-b) F(b-1) + (2b-c+(1-b)z) F(b) + b(z-1) F(b+1) = 0,
+
+    at b = 1-i, c = m+2, z = d^2 steps F_{i+1} from F_i and F_{i-1}, starting
+    at F_1 = 1 and F_2 = 1 - z/c.  Multiplied through by the Pochhammer symbol
+    (c)_i it runs on the integers G_i = (c)_{i-1} F_i without dividing.  One
+    (n, d) is cached, so the trace and eigenvalue closed forms for every i
+    share a single sweep; `hyp2f1_terminating` is the series it is tested
+    against.
+    """
+    c, z = params.m + 2, params.d**2
+    gs = [1, c - z]
+    for i in range(2, params.i_max):
+        gs.append((2 * i + c - 2 - i * z) * gs[-1] + (i - 1) * (z - 1) * (c + i - 2) * gs[-2])
+    sweep, poch = [], 1
+    for i, g in enumerate(gs[: params.i_max], 1):
+        sweep.append(Fraction(g, poch))
+        poch *= c + i - 1
+    return tuple(sweep)
+
+
 def _closed_form_body(params: SystemParams, i: int) -> Fraction:
     """(-1)^i C(i+m, 1+m) [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
 
@@ -196,7 +240,7 @@ def _closed_form_body(params: SystemParams, i: int) -> Fraction:
     """
     _check_i_range(params, i)
     n, d, m = params.n, params.d, params.m
-    series = hyp2f1_terminating(2 + m, i, Fraction(d * d))
+    series = _hyp2f1_sweep(params)[i - 1]
     bracket = (1 + m) - _d_pow(d, 2 * (1 + m) - n) * (i + m) * series
     sign = -1 if i % 2 else 1
     return sign * binomial(i + m, 1 + m) * bracket / (i + m)

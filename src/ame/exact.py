@@ -33,7 +33,9 @@ def hyp2f1_terminating(c: int, i: int, z: Fraction | int) -> Fraction:
 
     Successive terms are produced via the ratio
     (1+k)(1-i+k) / ((c+k)(1+k)) * z; an independent Pochhammer-product
-    summation is kept in the test suite as a cross-check.
+    summation is kept in the test suite as a cross-check.  The closed forms
+    in `enumerator` take every i at once from a contiguous-relation sweep;
+    this term-by-term series is what that sweep is tested against.
     """
     if i < 1:
         raise ValueError(f"termination parameter must be >= 1, got i={i}")

@@ -6,7 +6,18 @@ import time
 import numpy as np
 import pytest
 
-from ame.cli import MAX_BITS, MAX_N, _check_size, fmt_exact, main, run_verification
+from ame import cli
+from ame.cli import (
+    MAX_BITS,
+    MAX_N,
+    MAX_WORK,
+    _check_size,
+    _check_work,
+    _work,
+    fmt_exact,
+    main,
+    run_verification,
+)
 from ame.oracle import DensityMatrix, GraphSpec, ghz, graph_state, save_state
 from fractions import Fraction
 
@@ -265,6 +276,89 @@ def test_size_caps_admit_desk_scale_points():
         _check_size(n, d)
     with pytest.raises(ValueError, match="bits"):
         _check_size(MAX_N, 16)  # 2049 bits
+
+
+def _scan_work(d_max, n_max):
+    return (_work(n, d) for d in range(2, d_max + 1) for n in range(2, n_max + 1))
+
+
+def _table_work(d, n_min, n_max):
+    return (_work(n, d) for n in range(n_min, n_max + 1))
+
+
+def test_work_cap_admits_desk_scale_requests():
+    # the benchmark's scan and tables, the scan grid d <= 10 x n <= 100 and
+    # the largest qubit table; the golden runs show that every golden case
+    # is admitted too
+    _check_work(_scan_work(6, 60))
+    _check_work(_scan_work(10, 100))
+    for d in range(2, 7):
+        _check_work(_table_work(d, 2, 40))
+    _check_work(_table_work(2, 2, MAX_N))
+    _check_work([_work(200, 10, dump=True, inverse=True)])
+
+
+def _last_admitted(work_of):
+    """Largest n in 2..MAX_N whose request still fits the work cap."""
+    admitted = 1
+    for n in range(2, MAX_N + 1):
+        try:
+            _check_work(work_of(n))
+        except ValueError:
+            break
+        admitted = n
+    return admitted
+
+
+@pytest.mark.parametrize(
+    "work_of, argv_of",
+    [
+        (lambda n: _scan_work(10, n), lambda n: ["scan", "--d-max", "10", "--n-max", str(n)]),
+        (
+            lambda n: _table_work(10, 2, n),
+            lambda n: ["table", "--d", "10", "--n-min", "2", "--n-max", str(n)],
+        ),
+        (
+            lambda n: [_work(n, 2, n - n // 2, dump=True, inverse=True)],
+            lambda n: ["solve", "--n", str(n), "--d", "2", "--show-inverse"],
+        ),
+    ],
+    ids=["scan", "table", "solve-inverse"],
+)
+def test_one_step_past_the_work_cap_exits_one_at_once(capsys, work_of, argv_of):
+    n = _last_admitted(work_of)
+    assert 2 < n < MAX_N
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv_of(n + 1))
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert f"work cap of {MAX_WORK} units" in err
+
+
+def test_scan_over_an_unlistable_d_range_is_refused_at_once(capsys):
+    # d**2 fits the bit cap, but no grid of 2**1000 points can be solved
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan", "--d-max", str(2**1000), "--n-max", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out == ""
+    assert f"work cap of {MAX_WORK} units" in err
+
+
+def test_inverse_residual_refuses_a_nonzero_upper_triangle(monkeypatch):
+    # the residual sums only the lower triangle, so it must not report 0 for
+    # an inverse that is not lower triangular
+    original = cli.explicit_inverse
+
+    def skewed(system):
+        rows = [list(row) for row in original(system)]
+        rows[0][1] = Fraction(1)
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(cli, "explicit_inverse", skewed)
+    with pytest.raises(ArithmeticError):
+        main(["solve", "--n", "4", "--d", "3", "--show-inverse"])
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

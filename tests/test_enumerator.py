@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ame.exact
+from ame import enumerator
 from ame.enumerator import (
     SystemParams,
+    _hyp2f1_sweep,
     build_system,
     eigenvalue_closed_form,
     explicit_inverse,
@@ -15,6 +18,7 @@ from ame.enumerator import (
     trace_closed_form,
     trace_i2_specialization,
 )
+from ame.exact import hyp2f1_terminating
 from reference_values import QUBIT_TRACES
 
 GRID = [
@@ -196,3 +200,52 @@ def test_partial_solve_is_prefix_of_full_solve():
     full = solve_traces(params)
     part = solve_traces(params, i_max=3)
     assert part.traces == {i: full.traces[i] for i in (1, 2, 3)}
+
+
+def _assert_sweep_is_the_series(params):
+    sweep = _hyp2f1_sweep(params)
+    assert len(sweep) == params.i_max
+    for i, value in enumerate(sweep, 1):
+        assert type(value) is Fraction
+        assert value == hyp2f1_terminating(params.m + 2, i, params.d**2)
+
+
+def test_hyp2f1_sweep_equals_the_series_on_the_grid():
+    for params in GRID:
+        _assert_sweep_is_the_series(params)
+
+
+# the series takes 0.2 s for every i at n = 320, so five draws stay under 1 s
+@settings(max_examples=5, deadline=None)
+@given(st.integers(2, 320), st.integers(2, 10))
+def test_hyp2f1_sweep_equals_the_series_off_the_grid(n, d):
+    _assert_sweep_is_the_series(SystemParams(n, d))
+
+
+def test_solve_steps_pascal_rows_without_binomials(monkeypatch):
+    calls = 0
+
+    def counted(n, k):
+        nonlocal calls
+        calls += 1
+        return ame.exact.binomial(n, k)
+
+    monkeypatch.setattr(enumerator, "binomial", counted)
+    params = SystemParams(320, 2)
+    solve_traces(params)
+    # a binomial per Pascal entry would be about i_max**2 calls
+    assert calls <= 4 * params.i_max
+
+
+def test_closed_forms_share_one_sweep_and_never_sum_the_series(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the closed forms summed the 2F1 series")
+
+    monkeypatch.setattr(ame.exact, "hyp2f1_terminating", forbidden)
+    monkeypatch.setattr(enumerator, "hyp2f1_terminating", forbidden, raising=False)
+    params = SystemParams(320, 3)
+    _hyp2f1_sweep.cache_clear()
+    for i in range(1, params.i_max + 1):
+        trace_closed_form(params, i)
+        eigenvalue_closed_form(params, i)
+    assert _hyp2f1_sweep.cache_info().misses == 1
