@@ -11,8 +11,9 @@ overflow 64-bit integers long before the desk-scale limits do.
 size caps in `_check_size` before any solve; `table`, `scan` and `solve` also
 check the summed work of every system they will solve against `MAX_WORK` in
 `_check_work`.  They then build their values once and write them through the
-one output path `_emit`: JSON of the raw values, or md/csv lines whose cells
-all come from `_cell`.
+one output path `_emit`: JSON of the raw values, or the md or csv layout,
+whose tables hold raw rows and get their cells from `_cell` only when that
+layout is the one written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Union
 
 from . import oracle
 from .enumerator import (
@@ -53,24 +54,33 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _rows(rows) -> list[list[str]]:
-    return [[_cell(value) for value in row] for row in rows]
+def _md_table(header: list[str], rows: Iterable[Iterable]) -> list[str]:
+    cells = [header, ["---"] * len(header), *(map(_cell, row) for row in rows)]
+    return ["| " + " | ".join(row) + " |" for row in cells]
 
 
-def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    return ["| " + " | ".join(row) + " |" for row in [header, ["---"] * len(header), *rows]]
+def _csv(header: list[str], rows: Iterable[Iterable]) -> list[str]:
+    return [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
 
 
-def _csv(header: list[str], rows: list[list[str]]) -> list[str]:
-    return [",".join(header)] + [",".join(row) for row in rows]
+# One part of a text layout: a literal line, or a (header, raw rows) table.
+Part = Union[str, tuple[list[str], Iterable[Iterable]]]
 
 
-def _emit(fmt: str, doc: dict, md_lines: list[str], csv_lines: list[str]) -> None:
-    """Write one command's result in the requested format."""
+def _emit(fmt: str, doc: dict, md: list[Part], csv: list[Part]) -> None:
+    """Write one command's result in the requested format.
+
+    Only the requested layout is rendered: the other one's tables, which may
+    be lazy iterables, are never read.
+    """
     if fmt == "json":
         print(json.dumps(doc, indent=2, default=json_exact))
-    else:
-        print("\n".join(md_lines if fmt == "md" else csv_lines))
+        return
+    table = _md_table if fmt == "md" else _csv
+    lines: list[str] = []
+    for part in md if fmt == "md" else csv:
+        lines += [part] if isinstance(part, str) else table(*part)
+    print("\n".join(lines))
 
 
 # Per-system caps.  On a 2-core host `check` takes under a second at n = 512
@@ -142,7 +152,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     columns = list(range(1, (n_max + 1) // 2 + 1))
     traces = {n: solve_traces(SystemParams(n=n, d=d)).traces for n in range(n_min, n_max + 1)}
     header = ["n"] + [f"i={i}" for i in columns]
-    rows = _rows([n] + [cells.get(i) for i in columns] for n, cells in traces.items())
+    rows = [[n] + [cells.get(i) for i in columns] for n, cells in traces.items()]
     doc = {
         "command": "table",
         "d": d,
@@ -151,7 +161,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         "columns": columns,
         "rows": [{"n": n, "cells": cells} for n, cells in traces.items()],
     }
-    _emit(args.format, doc, _md_table(header, rows), _csv(header, rows))
+    _emit(args.format, doc, [(header, rows)], [(header, rows)])
     return 0
 
 
@@ -170,18 +180,16 @@ def cmd_check(args: argparse.Namespace) -> int:
     }
     doc = {"command": "check", "n": args.n, "d": args.d, **flags}
     doc.update(traces=traces, eigenvalues=eigenvalues)
-    body = _rows([i, traces[i], eigenvalues[i]] for i in traces)
-    md = _md_table(["i", "trace", "eigenvalue"], body) + [
+    body = [[i, traces[i], eigenvalues[i]] for i in traces]
+    md = [
+        (["i", "trace", "eigenvalue"], body),
         "",
         f"scott bound satisfied: {_cell(verdict.scott_satisfied)}",
         f"ruled out: {_cell(verdict.ruled_out)}",
         f"witness i: {_cell(verdict.witness_i) or 'none'}",
     ]
-    csv = _csv(
-        ["n", "d", "i", "trace", "eigenvalue", *flags],
-        _rows([args.n, args.d, *row, *flags.values()] for row in body),
-    )
-    _emit(args.format, doc, md, csv)
+    csv_rows = ([args.n, args.d, *row, *flags.values()] for row in body)
+    _emit(args.format, doc, md, [(["n", "d", "i", "trace", "eigenvalue", *flags], csv_rows)])
     return 2 if verdict.ruled_out else 0
 
 
@@ -200,7 +208,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         dict(zip(header, (v.params.d, v.params.n, v.ruled_out, v.witness_i, v.scott_satisfied)))
         for v in verdicts
     ]
-    rows = _rows(point.values() for point in grid)
+    rows = [point.values() for point in grid]
     summary = "first negative trace always at i=2: " + (
         "fails at " + ", ".join(f"(n={p.n}, d={p.d})" for p in bad) if bad else "holds"
     )
@@ -214,22 +222,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
             "counterexamples": [{"d": p.d, "n": p.n} for p in bad],
         },
     }
-    md = _md_table(header, rows) + ["", summary]
-    _emit(args.format, doc, md, _csv(header, rows) + [f"# {summary}"])
+    _emit(args.format, doc, [(header, rows), "", summary], [(header, rows), f"# {summary}"])
     return 0
 
 
 # --- solve ---------------------------------------------------------------
 
 
-def _md_block(title: str, header: list[str], rows) -> list[str]:
+def _md_block(title: str, header: list[str], rows) -> list[Part]:
     """`### title` over a table whose first column numbers the rows from 1."""
-    body = _rows([l, *row] for l, row in enumerate(rows, start=1))
-    return [f"### {title}", *_md_table(header, body)]
+    return [f"### {title}", (header, ([l, *row] for l, row in enumerate(rows, start=1)))]
 
 
-def _csv_matrix(section: str, matrix) -> list[list]:
-    return [[section, l, j, x] for l, row in enumerate(matrix, 1) for j, x in enumerate(row, 1)]
+def _csv_matrix(section: str, matrix) -> Iterable[list]:
+    return ([section, l, j, x] for l, row in enumerate(matrix, 1) for j, x in enumerate(row, 1))
 
 
 def _inverse_residual(matrix, inverse) -> Fraction:
@@ -275,9 +281,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "",
         *_md_block("x", ["i", "value"], [[x] for x in xs]),
     ]
-    csv = _csv_matrix("A", system.entries)
-    csv += [["T", l, None, t] for l, t in enumerate(system.rhs, start=1)]
-    csv += [["x", i, None, x] for i, x in enumerate(xs, start=1)]
+    csv_sections = [
+        _csv_matrix("A", system.entries),
+        (["T", l, None, t] for l, t in enumerate(system.rhs, start=1)),
+        (["x", i, None, x] for i, x in enumerate(xs, start=1)),
+    ]
     if args.show_inverse:
         inverse = explicit_inverse(system)
         residual = _inverse_residual(system.entries, inverse)
@@ -288,8 +296,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "",
             f"max |A*A_inv - I| = {_cell(residual)} (exact)",
         ]
-        csv += _csv_matrix("A_inv", inverse) + [["residual", None, None, residual]]
-    _emit(args.format, doc, md, _csv(["section", "row", "col", "value"], _rows(csv)))
+        csv_sections += [_csv_matrix("A_inv", inverse), [["residual", None, None, residual]]]
+    csv_rows = itertools.chain(*csv_sections)
+    _emit(args.format, doc, md, [(["section", "row", "col", "value"], csv_rows)])
     return 0
 
 

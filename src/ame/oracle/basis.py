@@ -8,7 +8,12 @@ from the conventional trace-2 normalization to trace d.
 With rho = d^-n sum_alpha r_alpha g_alpha, grouping squared coefficients by
 the exact support S of alpha gives tr(P_S^2) = d^|S| * sum_{supp(alpha)=S}
 r_alpha^2 -- the second, basis-dependent route to the numbers produced by
-`weights.weight_distribution`.
+`weights.weight_distribution`.  The coefficients come from one BLAS matmul
+per site against the (d^2, d^2) basis matrix.  The grouping needs no
+per-coefficient support bitmask: whether a_j is 0 or not is all that S
+records of party j, so each party's axis of the squared tensor folds to two
+entries (identity, and the sum over the traceless 1..d^2-1), and the
+resulting (2,)*n tensor holds the 2^n support sums.
 """
 
 from __future__ import annotations
@@ -52,22 +57,27 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
     """Coefficient tensor r[a_0, ..., a_{n-1}] = tr(rho * g_{a_0} x ... x g_{a_{n-1}}).
 
     Contracts the rank-1 density tensor against the basis one site at a time,
-    keeping peak memory at d^(2n) complex entries instead of the naive
-    d^(3n).  Hermiticity makes every coefficient real; the imaginary parts
+    keeping peak memory at two arrays of d^(2n) complex entries instead of the
+    naive d^(3n).  Each site is one BLAS matmul: the site's row and column
+    digits are moved last and the (rows, d^2) array is multiplied by the
+    (d^2, d^2) basis matrix, whose output axis lands after the sites already
+    contracted.  Hermiticity makes every coefficient real; the imaginary parts
     are checked to be rounding noise and dropped.
     """
     n, d = state.n, state.d
     if d ** (2 * n) > _COEFF_SCALE:
         raise ValueError(f"coefficient tensor too large: d**(2n) = {d ** (2 * n)}")
-    g = one_site_basis(d)
+    # basis[x * d + y, a] = g_a[y, x]: a row of (x, y) entries of rho maps to
+    # sum_{x,y} rho[x, y] g_a[y, x], the trace over that site
+    basis = one_site_basis(d).transpose(2, 1, 0).reshape(d * d, d * d)
     t = np.ascontiguousarray(state.site_tensor()).reshape(d**n)
-    cur = np.outer(t, t.conj()).reshape(1, d**n, d**n)
+    cur = np.outer(t, t.conj())
+    # cur holds (site j row digit, later rows, site j column digit, later
+    # columns, coefficient axes of sites 0..j-1) before step j
     for j in range(n):
         r = d ** (n - 1 - j)
-        cur = cur.reshape(-1, d, r, d, r)
-        # r[..., a] picks up tr over site j: sum_{x,y} rho[x, ...; y, ...] g[a, y, x]
-        cur = np.einsum("axXyY,gyx->agXY", cur, g)
-        cur = cur.reshape(cur.shape[0] * d * d, r, r)
+        cur = np.ascontiguousarray(cur.reshape(d, r, d, r, -1).transpose(1, 3, 4, 0, 2))
+        cur = cur.reshape(-1, d * d) @ basis
     coeffs = cur.reshape((d * d,) * n)
     if float(np.abs(coeffs.imag).max()) > 1e-9:
         raise AssertionError("Bloch coefficients of a Hermitian matrix must be real")
@@ -77,14 +87,13 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
 def weight_distribution_basis(state: StateVector) -> WeightDistribution:
     """Same contract as weights.weight_distribution, from squared coefficients."""
     n, d = state.n, state.d
-    sq = bloch_coefficients(state).reshape(-1) ** 2
-    # support bitmask of each flat coefficient index (party j -> bit j)
-    idx = np.arange(d ** (2 * n))
-    masks = np.zeros(idx.shape, dtype=np.int64)
+    acc = np.square(bloch_coefficients(state))
+    # fold each party's axis to (identity, sum over the traceless 1..d^2-1),
+    # last party first, so the folded axes collect at the end
     for j in range(n):
-        digit = (idx // (d * d) ** (n - 1 - j)) % (d * d)
-        masks |= (digit != 0).astype(np.int64) << j
-    acc = np.bincount(masks, weights=sq, minlength=2**n)
+        acc = np.add.reduceat(acc.reshape(-1, d * d, 2**j), [0, 1], axis=1)
+    # axis j of the (2,)*n sums is bit j of the support mask
+    acc = acc.reshape((2,) * n).transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
     return WeightDistribution.over_supports(
         n, d, lambda S: d ** len(S) * float(acc[sum(1 << j for j in S)])
     )

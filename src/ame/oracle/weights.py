@@ -9,8 +9,10 @@ with the empty reduction read as the scalar 1.  This route never chooses a
 generator basis, which makes it the reference implementation; the expansion
 in `basis` recomputes the same numbers from squared Bloch coefficients and
 the two must agree to 1e-9 on every state.  Reductions stay on the Schmidt
-side (<= d^floor(n/2) a side): purities read the smaller one; the projector
-check validates G = psi^dag psi, using rho_A^2 - c rho_A = psi (G - c) psi^dag.
+side (<= d^floor(n/2) a side): purities read the smaller one, and the
+transform takes one purity per complementary pair {T, Tbar}, since a pure
+state gives both the same value; the projector check validates
+G = psi^dag psi, using rho_A^2 - c rho_A = psi (G - c) psi^dag.
 """
 
 from __future__ import annotations
@@ -117,13 +119,31 @@ def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
     return _weight_traces(state, _validated_sites(state, sites))[-1]
 
 
+def _purities(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
+    """tr(rho_T^2) for every T subseteq sites, indexed by bitmask (sites[i] -> bit i).
+
+    A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each complementary pair
+    is reduced once, on its representative, and serves both masks.
+    """
+    full = (1 << state.n) - 1
+    by_pair: dict[int, float] = {}
+    w = np.empty(2 ** len(sites))
+    for m in range(len(w)):
+        mask = sum(1 << s for i, s in enumerate(sites) if m >> i & 1)
+        # the pair's smaller side; at |T| = n/2, the lower of the two masks
+        rep = min(mask, full ^ mask, key=lambda k: (k.bit_count(), k))
+        if rep not in by_pair:
+            by_pair[rep] = subset_purity(state, [j for j in range(state.n) if rep >> j & 1])
+        w[m] = by_pair[rep]
+    return w
+
+
 def _weight_traces(state: StateVector, sites: tuple[int, ...]) -> list[float]:
     """tr(P_T^2) for every T subseteq sites, indexed by bitmask (sites[i] -> bit i).
 
     The sum factorises: each party weighs T by d^2 if T holds it, else by -d.
     """
-    subsets = ([s for i, s in enumerate(sites) if m >> i & 1] for m in range(2 ** len(sites)))
-    w = np.array([subset_purity(state, T) for T in subsets])
+    w = _purities(state, sites)
     for i in range(len(sites)):
         pairs = w.reshape(-1, 2, 2**i)
         pairs[:, 1] = state.d * (state.d * pairs[:, 1] - pairs[:, 0])

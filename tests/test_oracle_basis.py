@@ -4,6 +4,7 @@ import pytest
 from ame.oracle import (
     StateVector,
     ame43,
+    ame62,
     bell,
     bloch_coefficients,
     ghz,
@@ -90,3 +91,62 @@ def test_two_paths_agree_on_random_states():
     bas = weight_distribution_basis(state).per_subset
     for S in mob:
         assert bas[S] == pytest.approx(mob[S], abs=1e-9)
+
+
+# --- the BLAS contraction and the per-party fold against written-out forms
+
+
+def _kron_coefficients(state):
+    """r_alpha = <psi| g_{a_0} x ... x g_{a_{n-1}} |psi> from explicit Kronecker products.
+
+    The products are built depth first, each prefix g_{a_0} x ... x g_{a_k}
+    formed once and extended by one np.kron per next-site operator.
+    """
+    n, d = state.n, state.d
+    g = one_site_basis(d)
+    psi = state.site_tensor().reshape(-1)  # party 0 most significant, as np.kron orders
+    # <psi|op|psi> = sum_ij conj(psi_i) op_ij psi_j
+    braket = np.outer(psi.conj(), psi)
+    r = np.empty((d * d,) * n)
+
+    def walk(alpha, op):
+        if len(alpha) == n:
+            value = np.sum(op * braket)
+            assert abs(value.imag) <= 1e-12
+            r[alpha] = value.real
+            return
+        for a in range(d * d):
+            walk(alpha + (a,), np.kron(op, g[a]))
+
+    walk((), np.eye(1))
+    return r
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3)])
+def test_bloch_coefficients_equal_kron_reference(n, d):
+    state = _random_state(n, d, 60 + 10 * n + d)
+    assert np.abs(bloch_coefficients(state) - _kron_coefficients(state)).max() <= 1e-12
+
+
+def _bitmask_sums(state):
+    """Squared coefficients summed by support: one bitmask per index, then bincount."""
+    n, d = state.n, state.d
+    sq = bloch_coefficients(state).reshape(-1) ** 2
+    idx = np.arange(d ** (2 * n))
+    masks = np.zeros(idx.shape, dtype=np.int64)
+    for j in range(n):
+        digit = (idx // (d * d) ** (n - 1 - j)) % (d * d)
+        masks |= (digit != 0).astype(np.int64) << j
+    return np.bincount(masks, weights=sq, minlength=2**n)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [ring5(), ame62(), _random_state(6, 2, 71), _random_state(4, 3, 72), _random_state(5, 3, 73)],
+    ids=["ring5", "ame62", "haar6", "haar4-qutrit", "haar5-qutrit"],
+)
+def test_weight_distribution_basis_equals_bitmask_sums(state):
+    acc = _bitmask_sums(state)
+    for S, value in weight_distribution_basis(state).per_subset.items():
+        want = state.d ** len(S) * acc[sum(1 << j for j in S)]
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), S

@@ -1,8 +1,8 @@
 """Invariances the physics guarantees, on Haar-random states.
 
 The purity route and the Bloch-basis route must agree support by support,
-weight traces are local-unitary invariants, and relabelling the parties
-relabels the supports.  States are drawn from a seed so that hypothesis can
+the purity route resums to d^n, weight traces are local-unitary invariants,
+and relabelling the parties relabels the supports.  States are drawn from a seed so that hypothesis can
 shrink a failure to a reproducible (n, d, seed).
 
 Values reach d^(2n) (about 2.6e5 at n = 6, d = 3), where the alternating
@@ -82,3 +82,13 @@ def test_permuting_parties_permutes_supports(shape):
 
     dist = weight_distribution(relabelled)
     assert _max_gap(dist, weight_distribution(state), original_support) <= TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_purity_resummation_sum_rule(shape):
+    # 1 + sum_S d^-|S| tr(P_S^2) = d^n tr(rho^2) = d^n for a pure state
+    n, d, seed = shape
+    state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
+    total = 1.0 + sum(v * d ** -len(S) for S, v in weight_distribution(state).per_subset.items())
+    assert abs(total - d**n) <= TOL * d**n

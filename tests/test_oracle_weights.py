@@ -10,6 +10,7 @@ from ame.oracle import (
     GraphSpec,
     StateVector,
     ame43,
+    ame62,
     bell,
     builtin_state,
     ghz,
@@ -22,6 +23,7 @@ from ame.oracle import (
     subset_weight_trace,
     weight_distribution,
 )
+from ame.oracle import weights
 
 
 def _random_state(n, d, seed):
@@ -247,3 +249,43 @@ def test_bitmask_transform_equals_inclusion_exclusion(state):
         bound = 1e-12 * state.d ** (2 * len(S))
         assert abs(value - want) <= bound, S
         assert abs(subset_weight_trace(state, S) - want) <= bound, S
+
+
+# --- one purity per complementary pair, against a direct call on each mask
+
+PAIRED_STATES = {
+    "ring5": ring5(),
+    "graph7": _graph_state(7, 5),
+    "ame62": ame62(),
+    "haar6": _random_state(6, 2, 51),
+    "haar4-qutrit": _random_state(4, 3, 52),
+}
+
+
+@pytest.mark.parametrize("state", PAIRED_STATES.values(), ids=PAIRED_STATES.keys())
+def test_paired_purities_equal_direct_purities(state):
+    n = state.n
+    table = weights._purities(state, tuple(range(n)))
+    assert table.shape == (2**n,)
+    for mask, value in enumerate(table):
+        want = subset_purity(state, [j for j in range(n) if mask >> j & 1])
+        if 2 * mask.bit_count() == n:
+            # the pair's two halves reduce different sides: equal up to rounding
+            assert abs(value - want) <= 1e-12 * want, mask
+        else:
+            # both reduce the smaller side of the same bipartition
+            assert value == want, mask
+
+
+@pytest.mark.parametrize("state", PAIRED_STATES.values(), ids=PAIRED_STATES.keys())
+def test_one_purity_per_complementary_pair(monkeypatch, state):
+    calls = []
+
+    def counting(reduced, sites):
+        calls.append(tuple(sites))
+        return subset_purity(reduced, sites)
+
+    monkeypatch.setattr(weights, "subset_purity", counting)
+    weight_distribution(state)
+    assert len(calls) <= 2 ** (state.n - 1) + 1
+    assert len(set(calls)) == len(calls)
