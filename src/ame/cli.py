@@ -13,7 +13,8 @@ check the summed work of every system they will solve against `MAX_WORK` in
 `_check_work`.  They then build their values once and write them through the
 one output path `_emit`: JSON of the raw values, or the md or csv layout,
 whose tables hold raw rows and get their cells from `_cell` only when that
-layout is the one written.
+layout is the one written.  `verify` checks the state against `DESK_SCALE`
+and its estimated work against `MAX_VERIFY_WORK` before any reduction.
 """
 
 from __future__ import annotations
@@ -305,6 +306,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # --- verify --------------------------------------------------------------
 
 
+# Work cap of `verify`, in the units of `_verify_work`.  On a 2-core host a
+# unit takes 0.5-2 ns once the reductions reach BLAS size; the largest admitted
+# states, ghz(15) at 4.1e10 units and (n, d) = (11, 3) at 2.6e10, take 45 s and
+# 20 s.  The next ones, (16, 2) at 3.6e11 and (12, 3) at 4.9e11, are refused.
+MAX_VERIFY_WORK = 5 * 10**10
+
+
+def _verify_work(n: int, d: int) -> int:
+    """Estimated work units of `run_verification` on n parties of dimension d.
+
+    A unit is one complex multiply-add of the reduction products: reducing
+    onto r parties costs d**(n + r), for each of the C(n, r) sets with
+    r <= floor(n/2); the purity route repeats about the same products.
+    """
+    return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
+
+
 def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     """All state-level checks behind `ame verify`, as (name, ok, detail) rows.
 
@@ -312,37 +330,43 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     reductions must be maximally mixed, every low-weight trace must vanish,
     weight traces must be constant across equal-size supports and match the
     closed forms, and every qualifying reduction must satisfy the projector
-    property.
+    property.  A state past `DESK_SCALE` or `MAX_VERIFY_WORK` is refused
+    before any reduction.  One sweep forms and validates each reduction
+    rho_R with 1 <= |R| <= floor(n/2) once: it gives the projector residual
+    of the complementary keep-set, and at |R| = floor(n/2) the k-uniformity
+    deviation.  The weight rows come from `weight_distribution`.
     """
     if state.n < 2:
         raise ValueError("verification needs at least two parties")
     oracle.weights.check_desk_scale(state)
+    work = _verify_work(state.n, state.d)
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(
+            f"verification needs {work:.3e} work units, above the work cap of "
+            f"{MAX_VERIFY_WORK:.0e} units"
+        )
     params = SystemParams(n=state.n, d=state.d)
     m = params.m
-    checks: list[tuple[str, bool, str]] = []
 
-    report = oracle.k_uniformity(state, m, tol=tol)
-    checks.append(
-        (
-            f"k-uniformity (k={m})",
-            report.uniform,
-            f"max deviation {report.max_deviation:.3e}",
-        )
-    )
+    dev = proj = 0.0
+    for size in range(1, m + 1):
+        for rest in itertools.combinations(range(state.n), size):
+            rho = oracle.partial_trace(state, rest)
+            proj = max(proj, rho.projector_residual())
+            if size == m:
+                dev = max(dev, rho.deviation())
+    # keeping all n parties traces out nothing: a scalar, no reduction
+    proj = max(proj, oracle.projector_property_residual(state, range(state.n)))
+    checks = [(f"k-uniformity (k={m})", dev <= tol, f"max deviation {dev:.3e}")]
 
-    dist = oracle.weight_distribution(state)
-    by_weight = dist.per_weight()
+    by_weight = oracle.weight_distribution(state).per_weight()
 
-    low = [abs(v) for w in range(1, m + 1) for v in by_weight[w]]
-    worst_low = max(low) if low else 0.0
+    worst_low = max(abs(v) for w in range(1, m + 1) for v in by_weight[w])
     checks.append(
         (f"vanishing weights 1..{m}", worst_low <= tol, f"max |tr P_S^2| = {worst_low:.3e}")
     )
 
-    spread = 0.0
-    for w in range(m + 1, state.n + 1):
-        values = by_weight[w]
-        spread = max(spread, max(values) - min(values))
+    spread = max(max(by_weight[w]) - min(by_weight[w]) for w in range(m + 1, state.n + 1))
     checks.append(
         ("equal values across equal-size supports", spread <= tol, f"max spread {spread:.3e}")
     )
@@ -355,10 +379,6 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
         ("closed-form match", closed_dev <= tol, f"max deviation {closed_dev:.3e}")
     )
 
-    proj = 0.0
-    for size in range(state.n - m, state.n + 1):
-        for keep in itertools.combinations(range(state.n), size):
-            proj = max(proj, oracle.projector_property_residual(state, keep))
     checks.append(("projector property", proj <= tol, f"max residual {proj:.3e}"))
     return checks
 

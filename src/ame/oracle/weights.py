@@ -11,8 +11,10 @@ in `basis` recomputes the same numbers from squared Bloch coefficients and
 the two must agree to 1e-9 on every state.  Reductions stay on the Schmidt
 side (<= d^floor(n/2) a side): purities read the smaller one, and the
 transform takes one purity per complementary pair {T, Tbar}, since a pure
-state gives both the same value; the projector check validates
-G = psi^dag psi, using rho_A^2 - c rho_A = psi (G - c) psi^dag.
+state gives both the same value.  The projector residual of a large
+reduction rho_A is read off its small complement rho_R in Frobenius norm:
+with psi the (A, R) amplitudes and G = psi^dag psi = rho_R^T,
+||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
 """
 
 from __future__ import annotations
@@ -88,6 +90,16 @@ class DensityMatrix:
     def purity(self) -> float:
         # Frobenius norm squared equals tr(rho^2) for Hermitian rho
         return float(np.vdot(self.entries, self.entries).real)
+
+    def deviation(self) -> float:
+        # max-entry distance from the maximally mixed state I/dim
+        return float(np.abs(self.entries - np.eye(len(self.entries)) / len(self.entries)).max())
+
+    def projector_residual(self) -> float:
+        # ||rho^2 - rho/dim||_F, zero exactly when dim * rho is a projector
+        return float(
+            np.linalg.norm(self.entries @ self.entries - self.entries / len(self.entries))
+        )
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -184,33 +196,35 @@ class UniformityReport(NamedTuple):
     max_deviation: float
 
 
-def k_uniformity(state: StateVector, k: int, tol: float = 1e-9) -> UniformityReport:
-    """Is every k-party reduction maximally mixed, within tol in max entry?"""
+UNIFORMITY_TOL = 1e-9
+
+
+def k_uniformity(state: StateVector, k: int) -> UniformityReport:
+    """Is every k-party reduction maximally mixed, within 1e-9 in max entry?"""
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
-    eye = np.eye(state.d**k) * state.d ** (-k)
-    worst = 0.0
-    for sites in itertools.combinations(range(state.n), k):
-        rho = partial_trace(state, sites).entries
-        worst = max(worst, float(np.abs(rho - eye).max()))
-    return UniformityReport(worst <= tol, worst)
+    worst = max(
+        partial_trace(state, sites).deviation()
+        for sites in itertools.combinations(range(state.n), k)
+    )
+    return UniformityReport(worst <= UNIFORMITY_TOL, worst)
 
 
 def projector_property_residual(state: StateVector, keep: Iterable[int]) -> float:
-    """Max-entry deviation of rho_A^2 - d^(-k) * rho_A, k parties traced out.
+    """Frobenius norm of rho_A^2 - d^(-k) * rho_A, k parties traced out.
 
     Vanishes exactly when the traced-out reduction is maximally mixed, which
     is the situation for every reduction of an AME state retaining at least
     n - floor(n/2) parties; the keep-set size is restricted accordingly.
-    Computed on the Schmidt side as psi (G - d^(-k) I) psi^dag, with psi the
-    (kept, traced-out) amplitudes and G = psi^dag psi, d^k a side, the
-    transposed k-party reduction; `DensityMatrix` validates G, not rho_A.
+    Computed on the small side as ||rho_R^2 - d^(-k) rho_R||_F, with R the k
+    traced-out parties (see the module docstring); keeping all n parties
+    leaves |psi><psi|, whose residual is the scalar ||psi||^2 |1 - ||psi||^2|.
     """
     sites = _validated_sites(state, keep)
     least = state.n - state.n // 2
     if len(sites) < least:
         raise ValueError(f"keep-set must retain >= n - floor(n/2) = {least} parties")
-    rest = tuple(j for j in range(state.n) if j not in sites)
-    psi = _ket_matrix(state.amplitudes, state.n, state.d, sites)
-    gram = DensityMatrix(parties=rest, d=state.d, entries=(psi.conj().T @ psi).T).entries.T
-    return float(np.abs(psi @ (gram - np.eye(len(gram)) / len(gram)) @ psi.conj().T).max())
+    if len(sites) == state.n:
+        norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
+        return norm_sq * abs(norm_sq - 1.0)
+    return partial_trace(state, [j for j in range(state.n) if j not in sites]).projector_residual()

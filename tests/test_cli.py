@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,15 +11,25 @@ from ame import cli
 from ame.cli import (
     MAX_BITS,
     MAX_N,
+    MAX_VERIFY_WORK,
     MAX_WORK,
     _check_size,
     _check_work,
+    _verify_work,
     _work,
     fmt_exact,
     main,
     run_verification,
 )
-from ame.oracle import DensityMatrix, GraphSpec, ghz, graph_state, save_state
+from ame.oracle import (
+    BUILTIN_NAMES,
+    DensityMatrix,
+    GraphSpec,
+    builtin_state,
+    ghz,
+    graph_state,
+    save_state,
+)
 from fractions import Fraction
 
 from reference_values import QUBIT_TRACES
@@ -206,11 +217,54 @@ def test_verify_nan_state_file_is_input_error(capsys, tmp_path, position):
 
 def test_run_verification_checks_desk_scale_before_any_check(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("k_uniformity ran before the desk-scale check")
+        raise AssertionError("a reduction ran before the desk-scale check")
 
-    monkeypatch.setattr("ame.oracle.k_uniformity", unreachable)
+    monkeypatch.setattr("ame.oracle.partial_trace", unreachable)
     with pytest.raises(ValueError, match="state too large"):
         run_verification(ghz(20, 2), 1e-9)
+
+
+def test_run_verification_refuses_past_the_work_cap_before_any_reduction(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a reduction ran before the work cap")
+
+    monkeypatch.setattr("ame.oracle.partial_trace", unreachable)
+    state = ghz(19, 2)  # inside the desk scale: 2**19 < 10**6
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="work cap of 5e\\+10 units"):
+        run_verification(state, 1e-9)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_verify_past_the_work_cap_is_input_error(capsys, tmp_path):
+    path = tmp_path / "ghz16.json"
+    save_state(ghz(16, 2), path)
+    code, out, err = run(capsys, "verify", "--state", str(path))
+    assert code == 1
+    assert "work cap" in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+def test_verify_work_cap_admits_every_state_in_use():
+    # the builtins (ring5 is the golden case), the test states up to ghz(12) and
+    # the benchmark's graph states; ghz(15) is the largest state admitted
+    shapes = {(s.n, s.d) for s in map(builtin_state, BUILTIN_NAMES)}
+    shapes |= {(n, 2) for n in range(2, 16)} | {(n, 3) for n in range(2, 12)}
+    for n, d in shapes:
+        assert _verify_work(n, d) <= MAX_VERIFY_WORK, (n, d)
+    assert _verify_work(16, 2) > MAX_VERIFY_WORK
+    assert _verify_work(12, 3) > MAX_VERIFY_WORK
+
+
+def test_run_verification_memory_stays_on_the_small_side():
+    state = ghz(12, 2)
+    tracemalloc.start()
+    try:
+        run_verification(state, 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def _random_graph_state(n, seed):
@@ -242,10 +296,8 @@ def test_verification_decomposes_only_small_side_reductions(monkeypatch, state):
     monkeypatch.setattr(DensityMatrix, "__post_init__", count)
     run_verification(state, 1e-9)
     assert max(sides) <= d ** (n // 2)
-    # one validated reduction per k-uniformity site set and per projector keep-set
-    m = n // 2
-    validated = math.comb(n, m) + sum(math.comb(n, size) for size in range(n - m, n + 1))
-    assert len(built) >= validated
+    # one validated reduction per small side R, 1 <= |R| <= floor(n/2)
+    assert len(built) == sum(math.comb(n, r) for r in range(1, n // 2 + 1))
     assert len(sides) == len(built)
 
 

@@ -2,19 +2,31 @@
 
 The purity route and the Bloch-basis route must agree support by support,
 the purity route resums to d^n, weight traces are local-unitary invariants,
-and relabelling the parties relabels the supports.  States are drawn from a seed so that hypothesis can
-shrink a failure to a reproducible (n, d, seed).
+and relabelling the parties relabels the supports.  `verify`'s one sweep
+reports what `k_uniformity` and `projector_property_residual` give on their
+own, and the Frobenius projector residual is a local-unitary invariant.
+States are drawn from a seed so that hypothesis can shrink a failure to a
+reproducible (n, d, seed).
 
 Values reach d^(2n) (about 2.6e5 at n = 6, d = 3), where the alternating
 inclusion-exclusion sum alone rounds by a few 1e-9, so a gap is held to TOL
 absolute below 1 and to TOL relative above it.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ame.oracle import StateVector, weight_distribution, weight_distribution_basis
+from ame.cli import run_verification
+from ame.oracle import (
+    StateVector,
+    k_uniformity,
+    projector_property_residual,
+    weight_distribution,
+    weight_distribution_basis,
+)
 
 TOL = 1e-9
 
@@ -36,6 +48,19 @@ def _from_sites(t, d):
     n = t.ndim
     flat = t.transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
     return StateVector(n, d, flat / np.linalg.norm(flat))
+
+
+def _locally_rotated(rng, state):
+    """The state under an independent Haar unitary on every party."""
+    t = state.site_tensor()
+    for j in range(state.n):
+        t = np.moveaxis(np.tensordot(_haar_unitary(rng, state.d), t, axes=(1, j)), 0, j)
+    return _from_sites(t, state.d)
+
+
+def _keep_sets(n):
+    """Every keep-set the projector property applies to: n - floor(n/2) parties or more."""
+    return [keep for r in range(n - n // 2, n + 1) for keep in itertools.combinations(range(n), r)]
 
 
 def _max_gap(a, b, relabel=lambda S: S):
@@ -60,10 +85,7 @@ def test_weights_invariant_under_local_unitaries(shape):
     n, d, seed = shape
     rng = np.random.default_rng(seed)
     state = StateVector(n, d, _haar_vector(rng, d**n))
-    t = state.site_tensor()
-    for j in range(n):
-        t = np.moveaxis(np.tensordot(_haar_unitary(rng, d), t, axes=(1, j)), 0, j)
-    rotated = _from_sites(t, d)
+    rotated = _locally_rotated(rng, state)
     assert _max_gap(weight_distribution(state), weight_distribution(rotated)) <= TOL
 
 
@@ -92,3 +114,27 @@ def test_purity_resummation_sum_rule(shape):
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
     total = 1.0 + sum(v * d ** -len(S) for S, v in weight_distribution(state).per_subset.items())
     assert abs(total - d**n) <= TOL * d**n
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_verification_sweep_reports_the_standalone_checks(shape):
+    n, d, seed = shape
+    state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
+    rows = run_verification(state, TOL)
+    deviation = k_uniformity(state, n // 2).max_deviation
+    residual = max(projector_property_residual(state, keep) for keep in _keep_sets(n))
+    assert rows[0][2] == f"max deviation {deviation:.3e}"
+    assert rows[-1][2] == f"max residual {residual:.3e}"
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_projector_residual_invariant_under_local_unitaries(shape):
+    n, d, seed = shape
+    rng = np.random.default_rng(seed)
+    state = StateVector(n, d, _haar_vector(rng, d**n))
+    rotated = _locally_rotated(rng, state)
+    for keep in _keep_sets(n):
+        gap = projector_property_residual(state, keep) - projector_property_residual(rotated, keep)
+        assert abs(gap) <= 1e-12, keep

@@ -216,7 +216,7 @@ def test_projector_residual_equals_full_side_formula(idx):
     for keep in _keep_sets(state.n, idx):
         rho = partial_trace(state, keep).entries
         k = state.n - len(keep)
-        want = float(np.abs(rho @ rho - state.d ** (-k) * rho).max())
+        want = float(np.linalg.norm(rho @ rho - state.d ** (-k) * rho))
         assert abs(projector_property_residual(state, keep) - want) <= 1e-14, keep
 
 
