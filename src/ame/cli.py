@@ -348,15 +348,14 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     params = SystemParams(n=state.n, d=state.d)
     m = params.m
 
-    dev = proj = 0.0
+    # keeping all n parties traces out nothing: its residual is a scalar
+    dev, proj = 0.0, oracle.projector_property_residual(state, range(state.n))
     for size in range(1, m + 1):
         for rest in itertools.combinations(range(state.n), size):
             rho = oracle.partial_trace(state, rest)
             proj = max(proj, rho.projector_residual())
             if size == m:
                 dev = max(dev, rho.deviation())
-    # keeping all n parties traces out nothing: a scalar, no reduction
-    proj = max(proj, oracle.projector_property_residual(state, range(state.n)))
     checks = [(f"k-uniformity (k={m})", dev <= tol, f"max deviation {dev:.3e}")]
 
     by_weight = oracle.weight_distribution(state).per_weight()

@@ -220,6 +220,7 @@ def test_run_verification_checks_desk_scale_before_any_check(monkeypatch):
         raise AssertionError("a reduction ran before the desk-scale check")
 
     monkeypatch.setattr("ame.oracle.partial_trace", unreachable)
+    monkeypatch.setattr("ame.oracle.projector_property_residual", unreachable)
     with pytest.raises(ValueError, match="state too large"):
         run_verification(ghz(20, 2), 1e-9)
 
@@ -229,6 +230,7 @@ def test_run_verification_refuses_past_the_work_cap_before_any_reduction(monkeyp
         raise AssertionError("a reduction ran before the work cap")
 
     monkeypatch.setattr("ame.oracle.partial_trace", unreachable)
+    monkeypatch.setattr("ame.oracle.projector_property_residual", unreachable)
     state = ghz(19, 2)  # inside the desk scale: 2**19 < 10**6
     start = time.perf_counter()
     with pytest.raises(ValueError, match="work cap of 5e\\+10 units"):
