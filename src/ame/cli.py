@@ -27,6 +27,8 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
+import numpy as np
+
 from . import oracle
 from .enumerator import (
     SystemParams,
@@ -307,9 +309,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 # Work cap of `verify`, in the units of `_verify_work`.  On a 2-core host a
-# unit takes 0.5-2 ns once the reductions reach BLAS size; the largest admitted
-# states, ghz(15) at 4.1e10 units and (n, d) = (11, 3) at 2.6e10, take 45 s and
-# 20 s.  The next ones, (16, 2) at 3.6e11 and (12, 3) at 4.9e11, are refused.
+# unit takes 0.5-1 ns once the reductions reach BLAS size; the largest admitted
+# states, ghz(15) at 4.1e10 units and (n, d) = (11, 3) at 2.6e10, take 37 s and
+# 12 s (41 and 48 MB peak RSS).  The next ones, (16, 2) at 3.6e11 and (12, 3)
+# at 4.9e11, are refused.
 MAX_VERIFY_WORK = 5 * 10**10
 
 
@@ -318,9 +321,39 @@ def _verify_work(n: int, d: int) -> int:
 
     A unit is one complex multiply-add of the reduction products: reducing
     onto r parties costs d**(n + r), for each of the C(n, r) sets with
-    r <= floor(n/2); the purity route repeats about the same products.
+    r <= floor(n/2).  The purities, projector residuals and deviations read
+    those reductions and add only d**(3r) per set.
     """
     return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
+
+
+def _verification_sweep(state) -> tuple[float, float, oracle.WeightDistribution]:
+    """(k-uniformity deviation, projector residual, weight traces) from one sweep.
+
+    Each reduction rho_R with 1 <= |R| <= floor(n/2) is formed and validated
+    once, a stack of them at a time.  A stack gives the projector residual of
+    the complementary keep-sets, at |R| = floor(n/2) the k-uniformity
+    deviation, and the purity of every R that represents its pair {R, Rbar}
+    (`pair_representatives`, the rule of the purity route), from which the
+    weight traces follow by the same bitmask transform.
+    """
+    weights = oracle.weights
+    n, m = state.n, state.n // 2
+    reps = weights.pair_representatives(n)
+    # keeping all n parties traces out nothing: its residual is a scalar
+    dev, proj = 0.0, oracle.projector_property_residual(state, range(n))
+    # tr(rho_T^2) by mask T; the empty reduction is the scalar ||psi||^4
+    purities = np.empty(2**n)
+    norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    purities[0] = norm_sq * norm_sq
+    for size in range(1, m + 1):
+        for masks, rho in weights.reduction_stacks(state, size):
+            proj = max(proj, weights.max_projector_residual(rho))
+            if size == m:
+                dev = max(dev, weights.max_deviation(rho))
+            for i in np.flatnonzero(reps[masks] == masks):
+                purities[masks[i]] = np.vdot(rho[i], rho[i]).real
+    return dev, proj, weights.weights_from_purities(n, state.d, purities[reps])
 
 
 def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
@@ -331,10 +364,8 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     weight traces must be constant across equal-size supports and match the
     closed forms, and every qualifying reduction must satisfy the projector
     property.  A state past `DESK_SCALE` or `MAX_VERIFY_WORK` is refused
-    before any reduction.  One sweep forms and validates each reduction
-    rho_R with 1 <= |R| <= floor(n/2) once: it gives the projector residual
-    of the complementary keep-set, and at |R| = floor(n/2) the k-uniformity
-    deviation.  The weight rows come from `weight_distribution`.
+    before any reduction.  Every row comes from `_verification_sweep`, which
+    forms each small-side reduction once.
     """
     if state.n < 2:
         raise ValueError("verification needs at least two parties")
@@ -347,18 +378,10 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
         )
     params = SystemParams(n=state.n, d=state.d)
     m = params.m
-
-    # keeping all n parties traces out nothing: its residual is a scalar
-    dev, proj = 0.0, oracle.projector_property_residual(state, range(state.n))
-    for size in range(1, m + 1):
-        for rest in itertools.combinations(range(state.n), size):
-            rho = oracle.partial_trace(state, rest)
-            proj = max(proj, rho.projector_residual())
-            if size == m:
-                dev = max(dev, rho.deviation())
+    dev, proj, dist = _verification_sweep(state)
     checks = [(f"k-uniformity (k={m})", dev <= tol, f"max deviation {dev:.3e}")]
 
-    by_weight = oracle.weight_distribution(state).per_weight()
+    by_weight = dist.per_weight()
 
     worst_low = max(abs(v) for w in range(1, m + 1) for v in by_weight[w])
     checks.append(
@@ -388,8 +411,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         state = oracle.builtin_state(source[len("builtin:") :])
     else:
         state = oracle.load_state(source)
-    print(f"state: {source} (n={state.n}, d={state.d})")
+    # the refusals in run_verification come before any output
     checks = run_verification(state, args.tol)
+    print(f"state: {source} (n={state.n}, d={state.d})")
     for name, ok, detail in checks:
         print(f"check {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     all_ok = all(ok for _, ok, _ in checks)

@@ -11,17 +11,28 @@ in `basis` recomputes the same numbers from squared Bloch coefficients and
 the two must agree to 1e-9 on every state.  Reductions stay on the Schmidt
 side (<= d^floor(n/2) a side): purities read the smaller one, and the
 transform takes one purity per complementary pair {T, Tbar}, since a pure
-state gives both the same value.  The projector residual of a large
+state gives both the same value.  Supports and pairs are bitmask arrays over
+all 2^n masks (`support_masks`, `pair_representatives`), shared by both
+weight routes and by `verify`.  The projector residual of a large
 reduction rho_A is read off its small complement rho_R in Frobenius norm:
 with psi the (A, R) amplitudes and G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
+
+Validated reductions come one stack at a time from `reduction_stacks`: one
+batched matmul and one `_validate` (finite, Hermitian, unit trace, spectrum)
+per stack, the same checks `DensityMatrix` runs on a stack of one.
+`k_uniformity` and `verify` read them; `verify` takes its purities, and so
+its weight traces, from the same stacks.  `weight_distribution` keeps the
+unvalidated `subset_purity` route.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -48,18 +59,54 @@ def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool
     return tuple(sorted(out))
 
 
+def _ket_axes(n: int, keep: tuple[int, ...]) -> list[int]:
+    """Axes of the (d,)*n amplitude tensor in (kept, traced-out) order.
+
+    Party j is digit j of the flat index, least significant first, so it sits
+    on axis n-1-j of the plain reshape.
+    """
+    rest = [j for j in range(n) if j not in keep]
+    return [n - 1 - j for j in (*keep, *rest)]
+
+
 def _ket_matrix(amps: np.ndarray, n: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
     """Flat amplitudes as (kept, traced-out) matrices, kept sites in ascending order.
 
     `amps` is one state of d**n amplitudes or a batch of them along a leading
-    axis.  Party j is digit j of the flat index, least significant first, so
-    it sits on axis n-1-j of the plain reshape.
+    axis.
     """
-    rest = tuple(j for j in range(n) if j not in keep)
     batch = amps.shape[:-1]
-    axes = tuple(range(len(batch))) + tuple(len(batch) + n - 1 - j for j in keep + rest)
+    axes = tuple(range(len(batch))) + tuple(len(batch) + a for a in _ket_axes(n, keep))
     t = amps.reshape(batch + (d,) * n).transpose(axes)
-    return np.ascontiguousarray(t).reshape(batch + (d ** len(keep), d ** len(rest)))
+    return np.ascontiguousarray(t).reshape(batch + (d ** len(keep), d ** (n - len(keep))))
+
+
+def _validate(rho: np.ndarray) -> None:
+    """Density-matrix checks on the last two axes of `rho`, one matrix or a stack."""
+    # every comparison below is false on NaN
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-12:
+        raise ValueError("density matrix not Hermitian")
+    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max() > 1e-12:
+        raise ValueError("density matrix trace != 1")
+    if np.linalg.eigvalsh(rho).min() < -1e-9:
+        raise ValueError("density matrix not positive semidefinite")
+
+
+def max_deviation(rho: np.ndarray) -> float:
+    """Largest max-entry distance from I/dim over the matrices on the last two axes."""
+    dim = rho.shape[-1]
+    return float(np.abs(rho - np.eye(dim) / dim).max())
+
+
+def max_projector_residual(rho: np.ndarray) -> float:
+    """Largest ||rho^2 - rho/dim||_F over the matrices on the last two axes.
+
+    It is zero exactly when dim * rho is a projector.
+    """
+    dim = rho.shape[-1]
+    return float(np.linalg.norm(rho @ rho - rho / dim, axis=(-2, -1)).max())
 
 
 @dataclass(frozen=True)
@@ -75,15 +122,7 @@ class DensityMatrix:
         dim = self.d ** len(self.parties)
         if rho.shape != (dim, dim):
             raise ValueError(f"entries must be {dim}x{dim}, got {rho.shape}")
-        # every comparison below is false on NaN
-        if not np.isfinite(rho).all():
-            raise ValueError("density matrix has non-finite entries")
-        if np.abs(rho - rho.conj().T).max() > 1e-12:
-            raise ValueError("density matrix not Hermitian")
-        if abs(complex(np.trace(rho)).real - 1.0) > 1e-12:
-            raise ValueError("density matrix trace != 1")
-        if float(np.linalg.eigvalsh(rho).min()) < -1e-9:
-            raise ValueError("density matrix not positive semidefinite")
+        _validate(rho[None])
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
 
@@ -92,14 +131,10 @@ class DensityMatrix:
         return float(np.vdot(self.entries, self.entries).real)
 
     def deviation(self) -> float:
-        # max-entry distance from the maximally mixed state I/dim
-        return float(np.abs(self.entries - np.eye(len(self.entries)) / len(self.entries)).max())
+        return max_deviation(self.entries)
 
     def projector_residual(self) -> float:
-        # ||rho^2 - rho/dim||_F, zero exactly when dim * rho is a projector
-        return float(
-            np.linalg.norm(self.entries @ self.entries - self.entries / len(self.entries))
-        )
+        return max_projector_residual(self.entries)
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -128,7 +163,49 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
 
 def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
     """tr(P_S^2) for exact support S, via inclusion-exclusion over purities."""
-    return _weight_traces(state, _validated_sites(state, sites))[-1]
+    return float(_transform(_purities(state, _validated_sites(state, sites)), state.d)[-1])
+
+
+@functools.lru_cache(maxsize=None)
+def support_masks(n: int) -> np.ndarray:
+    """Bitmask of every support S of n parties (party j -> bit j), the empty one first.
+
+    The order is by size, then lexicographic in the ascending site tuple, which
+    is the order of `itertools.combinations(range(n), r)` for r = 0..n.  Two
+    supports of one size compare, in the tuple, at the lowest party in one and
+    not the other; the one holding it comes first.  That party is the highest
+    differing bit of the bit-reversed masks, so it is the larger one.
+    """
+    masks = np.arange(2**n)
+    reversed_masks = np.zeros_like(masks)
+    for j in range(n):
+        reversed_masks |= (masks >> j & 1) << (n - 1 - j)
+    out = np.lexsort((-reversed_masks, _bit_counts(n)))
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_counts(n: int) -> np.ndarray:
+    counts = np.zeros(2**n, dtype=np.int64)
+    for j in range(n):
+        counts[1 << j : 2 << j] = counts[: 1 << j] + 1
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.lru_cache(maxsize=None)
+def pair_representatives(n: int) -> np.ndarray:
+    """For every mask T, the mask whose reduction gives tr(rho_T^2) = tr(rho_Tbar^2).
+
+    That is the pair's smaller side, and at |T| = n/2 the lower of the two masks.
+    """
+    masks = np.arange(2**n)
+    twice = 2 * _bit_counts(n)
+    complements = masks ^ (2**n - 1)
+    out = np.where((twice < n) | ((twice == n) & (masks < complements)), masks, complements)
+    out.flags.writeable = False
+    return out
 
 
 def _purities(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
@@ -137,29 +214,26 @@ def _purities(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
     A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each complementary pair
     is reduced once, on its representative, and serves both masks.
     """
-    full = (1 << state.n) - 1
-    by_pair: dict[int, float] = {}
-    w = np.empty(2 ** len(sites))
-    for m in range(len(w)):
-        mask = sum(1 << s for i, s in enumerate(sites) if m >> i & 1)
-        # the pair's smaller side; at |T| = n/2, the lower of the two masks
-        rep = min(mask, full ^ mask, key=lambda k: (k.bit_count(), k))
-        if rep not in by_pair:
-            by_pair[rep] = subset_purity(state, [j for j in range(state.n) if rep >> j & 1])
-        w[m] = by_pair[rep]
-    return w
+    local = np.arange(2 ** len(sites))
+    masks = np.zeros_like(local)
+    for i, s in enumerate(sites):
+        masks |= (local >> i & 1) << s
+    reps, pair_of = np.unique(pair_representatives(state.n)[masks], return_inverse=True)
+    values = [
+        subset_purity(state, [j for j in range(state.n) if rep >> j & 1]) for rep in reps.tolist()
+    ]
+    return np.array(values)[pair_of]
 
 
-def _weight_traces(state: StateVector, sites: tuple[int, ...]) -> list[float]:
-    """tr(P_T^2) for every T subseteq sites, indexed by bitmask (sites[i] -> bit i).
+def _transform(w: np.ndarray, d: int) -> np.ndarray:
+    """tr(rho_T^2) -> tr(P_T^2) in place, for w indexed by bitmask over 2^k masks.
 
     The sum factorises: each party weighs T by d^2 if T holds it, else by -d.
     """
-    w = _purities(state, sites)
-    for i in range(len(sites)):
+    for i in range(len(w).bit_length() - 1):
         pairs = w.reshape(-1, 2, 2**i)
-        pairs[:, 1] = state.d * (state.d * pairs[:, 1] - pairs[:, 0])
-    return w.tolist()
+        pairs[:, 1] = d * (d * pairs[:, 1] - pairs[:, 0])
+    return w
 
 
 @dataclass(frozen=True)
@@ -171,10 +245,10 @@ class WeightDistribution:
     per_subset: dict[tuple[int, ...], float]
 
     @classmethod
-    def over_supports(cls, n: int, d: int, trace) -> "WeightDistribution":
-        """trace(S) for every nonempty support S, in (size, lexicographic) order."""
+    def from_masks(cls, n: int, d: int, values: np.ndarray) -> "WeightDistribution":
+        """values[mask] for every nonempty support, in (size, lexicographic) order."""
         supports = (S for r in range(1, n + 1) for S in itertools.combinations(range(n), r))
-        return cls(n, d, {S: trace(S) for S in supports})
+        return cls(n, d, dict(zip(supports, values[support_masks(n)[1:]].tolist())))
 
     def per_weight(self) -> dict[int, list[float]]:
         """Values grouped by |S|, in subset enumeration order."""
@@ -184,11 +258,47 @@ class WeightDistribution:
         return out
 
 
+def weights_from_purities(n: int, d: int, purities: np.ndarray) -> WeightDistribution:
+    """Weight traces from tr(rho_T^2) for every mask T of n parties (overwritten)."""
+    return WeightDistribution.from_masks(n, d, _transform(purities, d))
+
+
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only."""
     check_desk_scale(state)
-    tr = _weight_traces(state, tuple(range(state.n)))
-    return WeightDistribution.over_supports(state.n, state.d, lambda S: tr[sum(2**j for j in S)])
+    return weights_from_purities(state.n, state.d, _purities(state, tuple(range(state.n))))
+
+
+# Entries of the largest amplitude or matrix stack `reduction_stacks` forms at
+# once, 1 MiB of complex128: 64 reductions of a 10-qubit state a stack.  Larger
+# stacks ran no faster on the benchmark's states and raise the peak RSS; the
+# tracemalloc peak of verifying ghz(12) is 5.3 MiB with it.
+_STACK_ENTRIES = 2**16
+
+
+def reduction_stacks(state: StateVector, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Validated reductions rho_R of every r-party R, a stack at a time.
+
+    Yields (masks, rho): the keep-sets R as bitmasks (party j -> bit j), in
+    `itertools.combinations` order, and their (k, d^r, d^r) reductions, each
+    equal bit for bit to `partial_trace(state, R).entries`.  Each stack is one
+    batched matmul of (k, d^r, d^(n-r)) amplitude matrices and one `_validate`.
+    """
+    n, d = state.n, state.d
+    rows, cols = d**r, d ** (n - r)
+    first = sum(math.comb(n, s) for s in range(r))
+    masks = support_masks(n)[first : first + math.comb(n, r)]
+    size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
+    tensor = state.amplitudes.reshape((d,) * n)
+    keeps = itertools.combinations(range(n), r)
+    buf = np.empty((min(size, len(masks)), rows, cols), dtype=np.complex128)
+    for start in range(0, len(masks), size):
+        psi = buf[: min(size, len(masks) - start)]
+        for ket, keep in zip(psi, keeps):
+            ket.reshape((d,) * n)[...] = tensor.transpose(_ket_axes(n, keep))
+        rho = psi @ psi.conj().swapaxes(-1, -2)
+        _validate(rho)
+        yield masks[start : start + len(psi)], rho
 
 
 class UniformityReport(NamedTuple):
@@ -203,10 +313,7 @@ def k_uniformity(state: StateVector, k: int) -> UniformityReport:
     """Is every k-party reduction maximally mixed, within 1e-9 in max entry?"""
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
-    worst = max(
-        partial_trace(state, sites).deviation()
-        for sites in itertools.combinations(range(state.n), k)
-    )
+    worst = max(max_deviation(rho) for _, rho in reduction_stacks(state, k))
     return UniformityReport(worst <= UNIFORMITY_TOL, worst)
 
 

@@ -3,8 +3,10 @@
 The purity route and the Bloch-basis route must agree support by support,
 the purity route resums to d^n, weight traces are local-unitary invariants,
 and relabelling the parties relabels the supports.  `verify`'s one sweep
-reports what `k_uniformity` and `projector_property_residual` give on their
-own, and the Frobenius projector residual is a local-unitary invariant.
+reports what `k_uniformity`, `projector_property_residual` and
+`weight_distribution` give on their own, `k_uniformity`'s stacks give what
+`partial_trace` gives set by set, and the Frobenius projector residual is a
+local-unitary invariant.
 States are drawn from a seed so that hypothesis can shrink a failure to a
 reproducible (n, d, seed).
 
@@ -19,10 +21,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ame.cli import run_verification
+from ame.cli import _verification_sweep, run_verification
 from ame.oracle import (
     StateVector,
     k_uniformity,
+    partial_trace,
     projector_property_residual,
     weight_distribution,
     weight_distribution_basis,
@@ -126,6 +129,41 @@ def test_verification_sweep_reports_the_standalone_checks(shape):
     residual = max(projector_property_residual(state, keep) for keep in _keep_sets(n))
     assert rows[0][2] == f"max deviation {deviation:.3e}"
     assert rows[-1][2] == f"max residual {residual:.3e}"
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_verification_sweep_weights_equal_the_purity_route(shape):
+    n, d, seed = shape
+    state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
+    got = _verification_sweep(state)[2].per_weight()
+    want = weight_distribution(state).per_weight()
+    assert got.keys() == want.keys()
+    for w in want:
+        assert len(got[w]) == len(want[w])
+        assert max(abs(a - b) for a, b in zip(got[w], want[w])) <= 1e-15, w
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_k_uniformity_equals_the_per_set_deviations(shape):
+    n, d, seed = shape
+    state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
+    for k in range(1, n):
+        per_set = max(
+            partial_trace(state, R).deviation() for R in itertools.combinations(range(n), k)
+        )
+        assert k_uniformity(state, k).max_deviation == per_set, k
+
+
+@settings(max_examples=12, deadline=None)
+@given(shapes)
+def test_verification_sweep_residual_equals_the_standalone_maximum(shape):
+    n, d, seed = shape
+    state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
+    residual = max(projector_property_residual(state, keep) for keep in _keep_sets(n))
+    assert _verification_sweep(state)[1] == residual
+    assert run_verification(state, TOL)[-1][2] == f"max residual {residual:.3e}"
 
 
 @settings(max_examples=12, deadline=None)

@@ -289,3 +289,94 @@ def test_one_purity_per_complementary_pair(monkeypatch, state):
     weight_distribution(state)
     assert len(calls) <= 2 ** (state.n - 1) + 1
     assert len(set(calls)) == len(calls)
+
+
+# --- reductions validated and read a stack at a time
+
+BAD_MATRICES = {
+    "nan": [[np.nan, 0], [0, 1]],
+    "not-hermitian": [[0.5, 0.5j], [0.5j, 0.5]],
+    "trace-2": np.eye(2),
+    "negative-eigenvalue": np.diag([1.5, -0.5]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MATRICES.values(), ids=BAD_MATRICES.keys())
+def test_stacked_validation_raises_what_density_matrix_raises(bad):
+    with pytest.raises(ValueError) as single:
+        DensityMatrix((0,), 2, np.array(bad))
+    _, stack = next(weights.reduction_stacks(_random_state(5, 2, 61), 1))
+    stack = stack.copy()
+    weights._validate(stack)
+    stack[2] = bad
+    with pytest.raises(ValueError) as stacked:
+        weights._validate(stack)
+    assert str(stacked.value) == str(single.value)
+
+
+STACK_STATES = {
+    "ring5": ring5(),
+    "ame62": ame62(),
+    "graph7": _graph_state(7, 6),
+    "haar4-qutrit": _random_state(4, 3, 62),
+}
+
+
+@pytest.mark.parametrize("entries", [4, 2**16])
+@pytest.mark.parametrize("state", STACK_STATES.values(), ids=STACK_STATES.keys())
+def test_reduction_stacks_equal_partial_traces(monkeypatch, state, entries):
+    # a budget of 4 entries puts one reduction in a stack
+    monkeypatch.setattr(weights, "_STACK_ENTRIES", entries)
+    n = state.n
+    for r in range(1, n):
+        keeps = list(itertools.combinations(range(n), r))
+        stacks = list(weights.reduction_stacks(state, r))
+        masks = np.concatenate([m for m, _ in stacks])
+        assert masks.tolist() == [sum(1 << j for j in R) for R in keeps]
+        rhos = np.concatenate([rho for _, rho in stacks])
+        for R, rho in zip(keeps, rhos):
+            assert rho.tobytes() == partial_trace(state, R).entries.tobytes(), R
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_support_masks_follow_combinations_order(n):
+    supports = [S for r in range(n + 1) for S in itertools.combinations(range(n), r)]
+    assert weights.support_masks(n).tolist() == [sum(1 << j for j in S) for S in supports]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_representatives_are_the_smaller_side(n):
+    full = 2**n - 1
+    want = [min(t, full ^ t, key=lambda k: (k.bit_count(), k)) for t in range(2**n)]
+    assert weights.pair_representatives(n).tolist() == want
+
+
+def _per_subset_by_mask(state):
+    """per_subset written out mask by mask: each pair's purity from its smaller side."""
+    n, full = state.n, 2**state.n - 1
+    by_pair = {}
+    table = np.empty(2**n)
+    for t in range(2**n):
+        rep = min(t, full ^ t, key=lambda k: (k.bit_count(), k))
+        if rep not in by_pair:
+            by_pair[rep] = subset_purity(state, [j for j in range(n) if rep >> j & 1])
+        table[t] = by_pair[rep]
+    traces = weights._transform(table, state.d).tolist()
+    supports = (S for r in range(1, n + 1) for S in itertools.combinations(range(n), r))
+    return {S: traces[sum(2**j for j in S)] for S in supports}
+
+
+PER_SUBSET_STATES = {
+    **{name: builtin_state(name) for name in BUILTIN_NAMES},
+    "graph10": _graph_state(10, 10),
+    "graph12": _graph_state(12, 12),
+    "graph13": _graph_state(13, 13),
+}
+
+
+@pytest.mark.parametrize("state", PER_SUBSET_STATES.values(), ids=PER_SUBSET_STATES.keys())
+def test_per_subset_is_the_mask_table_in_support_order(state):
+    got = weight_distribution(state).per_subset
+    want = _per_subset_by_mask(state)
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
