@@ -321,8 +321,8 @@ def _verify_work(n: int, d: int) -> int:
 
     A unit is one complex multiply-add of the reduction products: reducing
     onto r parties costs d**(n + r), for each of the C(n, r) sets with
-    r <= floor(n/2).  The purities, projector residuals and deviations read
-    those reductions and add only d**(3r) per set.
+    r <= floor(n/2).  Validating a reduction and reading its purity,
+    projector residual and deviation cost d**(3r), no more than forming it.
     """
     return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
 
