@@ -27,8 +27,6 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-import numpy as np
-
 from . import oracle
 from .enumerator import (
     SystemParams,
@@ -327,35 +325,6 @@ def _verify_work(n: int, d: int) -> int:
     return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
 
 
-def _verification_sweep(state) -> tuple[float, float, oracle.WeightDistribution]:
-    """(k-uniformity deviation, projector residual, weight traces) from one sweep.
-
-    Each reduction rho_R with 1 <= |R| <= floor(n/2) is formed and validated
-    once, a stack of them at a time.  A stack gives the projector residual of
-    the complementary keep-sets, at |R| = floor(n/2) the k-uniformity
-    deviation, and the purity of every R that represents its pair {R, Rbar}
-    (`pair_representatives`, the rule of the purity route), from which the
-    weight traces follow by the same bitmask transform.
-    """
-    weights = oracle.weights
-    n, m = state.n, state.n // 2
-    reps = weights.pair_representatives(n)
-    # keeping all n parties traces out nothing: its residual is a scalar
-    dev, proj = 0.0, oracle.projector_property_residual(state, range(n))
-    # tr(rho_T^2) by mask T; the empty reduction is the scalar ||psi||^4
-    purities = np.empty(2**n)
-    norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    purities[0] = norm_sq * norm_sq
-    for size in range(1, m + 1):
-        for masks, rho in weights.reduction_stacks(state, size):
-            proj = max(proj, weights.max_projector_residual(rho))
-            if size == m:
-                dev = max(dev, weights.max_deviation(rho))
-            for i in np.flatnonzero(reps[masks] == masks):
-                purities[masks[i]] = np.vdot(rho[i], rho[i]).real
-    return dev, proj, weights.weights_from_purities(n, state.d, purities[reps])
-
-
 def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     """All state-level checks behind `ame verify`, as (name, ok, detail) rows.
 
@@ -364,8 +333,8 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     weight traces must be constant across equal-size supports and match the
     closed forms, and every qualifying reduction must satisfy the projector
     property.  A state past `DESK_SCALE` or `MAX_VERIFY_WORK` is refused
-    before any reduction.  Every row comes from `_verification_sweep`, which
-    forms each small-side reduction once.
+    before any reduction.  Every row comes from one small-side sweep,
+    `oracle.weights.verification_sweep`, which forms each reduction once.
     """
     if state.n < 2:
         raise ValueError("verification needs at least two parties")
@@ -378,7 +347,7 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
         )
     params = SystemParams(n=state.n, d=state.d)
     m = params.m
-    dev, proj, dist = _verification_sweep(state)
+    dev, proj, dist = oracle.weights.verification_sweep(state)
     checks = [(f"k-uniformity (k={m})", dev <= tol, f"max deviation {dev:.3e}")]
 
     by_weight = dist.per_weight()

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .states import StateVector
-from .weights import WeightDistribution, _bit_counts
+from .weights import WeightDistribution, bit_counts
 
 _COEFF_SCALE = 10**7
 
@@ -94,4 +94,4 @@ def weight_distribution_basis(state: StateVector) -> WeightDistribution:
         acc = np.add.reduceat(acc.reshape(-1, d * d, 2**j), [0, 1], axis=1)
     # axis j of the (2,)*n sums is bit j of the support mask
     acc = acc.reshape((2,) * n).transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
-    return WeightDistribution.from_masks(n, d, acc * d ** _bit_counts(n))
+    return WeightDistribution.from_masks(n, d, acc * d ** bit_counts(n))

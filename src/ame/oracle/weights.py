@@ -12,8 +12,8 @@ the two must agree to 1e-9 on every state.  Reductions stay on the Schmidt
 side (<= d^floor(n/2) a side): purities read the smaller one, and the
 transform takes one purity per complementary pair {T, Tbar}, since a pure
 state gives both the same value.  Supports and pairs are bitmask arrays over
-all 2^n masks (`support_masks`, `pair_representatives`), shared by both
-weight routes and by `verify`.  The projector residual of a large
+all 2^n masks (`_supports`, `_pair_representatives`), shared by both weight
+routes and by `verification_sweep`.  The projector residual of a large
 reduction rho_A is read off its small complement rho_R in Frobenius norm:
 with psi the (A, R) amplitudes and G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
@@ -21,9 +21,10 @@ with psi the (A, R) amplitudes and G = psi^dag psi = rho_R^T,
 Validated reductions come one stack at a time from `reduction_stacks`: one
 batched matmul and one `_validate` (finite, Hermitian, unit trace, spectrum)
 per stack, the same checks `DensityMatrix` runs on a stack of one.
-`k_uniformity` and `verify` read them; `verify` takes its purities, and so
-its weight traces, from the same stacks.  `weight_distribution` keeps the
-unvalidated `subset_purity` route.
+`verification_sweep`, behind `ame verify`, reads them and takes its
+purities, and so its weight traces, from the same stacks.
+`weight_distribution` keeps the unvalidated `subset_purity` route, and
+`k_uniformity` one `partial_trace` per keep-set.
 """
 
 from __future__ import annotations
@@ -94,13 +95,13 @@ def _validate(rho: np.ndarray) -> None:
         raise ValueError("density matrix not positive semidefinite")
 
 
-def max_deviation(rho: np.ndarray) -> float:
+def _max_deviation(rho: np.ndarray) -> float:
     """Largest max-entry distance from I/dim over the matrices on the last two axes."""
     dim = rho.shape[-1]
     return float(np.abs(rho - np.eye(dim) / dim).max())
 
 
-def max_projector_residual(rho: np.ndarray) -> float:
+def _max_projector_residual(rho: np.ndarray) -> float:
     """Largest ||rho^2 - rho/dim||_F over the matrices on the last two axes.
 
     It is zero exactly when dim * rho is a projector.
@@ -131,10 +132,10 @@ class DensityMatrix:
         return float(np.vdot(self.entries, self.entries).real)
 
     def deviation(self) -> float:
-        return max_deviation(self.entries)
+        return _max_deviation(self.entries)
 
     def projector_residual(self) -> float:
-        return max_projector_residual(self.entries)
+        return _max_projector_residual(self.entries)
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
@@ -142,6 +143,12 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     sites = _validated_sites(state, keep)
     psi = _ket_matrix(state.amplitudes, state.n, state.d, sites)
     return DensityMatrix(parties=sites, d=state.d, entries=psi @ psi.conj().T)
+
+
+def _empty_purity(state: StateVector) -> float:
+    """tr(rho^2) of the empty reduction, the scalar ||psi||^4."""
+    norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
+    return norm_sq * norm_sq
 
 
 def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
@@ -154,8 +161,7 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
     if len(S) * 2 > state.n:
         S = tuple(j for j in range(state.n) if j not in S)
     if not S:
-        norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
-        return norm_sq * norm_sq
+        return _empty_purity(state)
     psi = _ket_matrix(state.amplitudes, state.n, state.d, S)
     rho = psi @ psi.conj().T
     return float(np.vdot(rho, rho).real)
@@ -167,26 +173,20 @@ def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def support_masks(n: int) -> np.ndarray:
-    """Bitmask of every support S of n parties (party j -> bit j), the empty one first.
+def _supports(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Every support S of n parties, the empty one first, and its bitmask (party j -> bit j).
 
-    The order is by size, then lexicographic in the ascending site tuple, which
-    is the order of `itertools.combinations(range(n), r)` for r = 0..n.  Two
-    supports of one size compare, in the tuple, at the lowest party in one and
-    not the other; the one holding it comes first.  That party is the highest
-    differing bit of the bit-reversed masks, so it is the larger one.
+    The order is that of `itertools.combinations(range(n), r)` for r = 0..n.
     """
-    masks = np.arange(2**n)
-    reversed_masks = np.zeros_like(masks)
-    for j in range(n):
-        reversed_masks |= (masks >> j & 1) << (n - 1 - j)
-    out = np.lexsort((-reversed_masks, _bit_counts(n)))
-    out.flags.writeable = False
-    return out
+    supports = tuple(S for r in range(n + 1) for S in itertools.combinations(range(n), r))
+    masks = np.array([sum(1 << j for j in S) for S in supports], dtype=np.int64)
+    masks.flags.writeable = False
+    return supports, masks
 
 
 @functools.lru_cache(maxsize=None)
-def _bit_counts(n: int) -> np.ndarray:
+def bit_counts(n: int) -> np.ndarray:
+    """|T| for every bitmask T of n parties."""
     counts = np.zeros(2**n, dtype=np.int64)
     for j in range(n):
         counts[1 << j : 2 << j] = counts[: 1 << j] + 1
@@ -195,13 +195,13 @@ def _bit_counts(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def pair_representatives(n: int) -> np.ndarray:
+def _pair_representatives(n: int) -> np.ndarray:
     """For every mask T, the mask whose reduction gives tr(rho_T^2) = tr(rho_Tbar^2).
 
     That is the pair's smaller side, and at |T| = n/2 the lower of the two masks.
     """
     masks = np.arange(2**n)
-    twice = 2 * _bit_counts(n)
+    twice = 2 * bit_counts(n)
     complements = masks ^ (2**n - 1)
     out = np.where((twice < n) | ((twice == n) & (masks < complements)), masks, complements)
     out.flags.writeable = False
@@ -218,7 +218,7 @@ def _purities(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
     masks = np.zeros_like(local)
     for i, s in enumerate(sites):
         masks |= (local >> i & 1) << s
-    reps, pair_of = np.unique(pair_representatives(state.n)[masks], return_inverse=True)
+    reps, pair_of = np.unique(_pair_representatives(state.n)[masks], return_inverse=True)
     values = [
         subset_purity(state, [j for j in range(state.n) if rep >> j & 1]) for rep in reps.tolist()
     ]
@@ -247,8 +247,8 @@ class WeightDistribution:
     @classmethod
     def from_masks(cls, n: int, d: int, values: np.ndarray) -> "WeightDistribution":
         """values[mask] for every nonempty support, in (size, lexicographic) order."""
-        supports = (S for r in range(1, n + 1) for S in itertools.combinations(range(n), r))
-        return cls(n, d, dict(zip(supports, values[support_masks(n)[1:]].tolist())))
+        supports, masks = _supports(n)
+        return cls(n, d, dict(zip(supports[1:], values[masks[1:]].tolist())))
 
     def per_weight(self) -> dict[int, list[float]]:
         """Values grouped by |S|, in subset enumeration order."""
@@ -258,15 +258,11 @@ class WeightDistribution:
         return out
 
 
-def weights_from_purities(n: int, d: int, purities: np.ndarray) -> WeightDistribution:
-    """Weight traces from tr(rho_T^2) for every mask T of n parties (overwritten)."""
-    return WeightDistribution.from_masks(n, d, _transform(purities, d))
-
-
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only."""
     check_desk_scale(state)
-    return weights_from_purities(state.n, state.d, _purities(state, tuple(range(state.n))))
+    purities = _purities(state, tuple(range(state.n)))
+    return WeightDistribution.from_masks(state.n, state.d, _transform(purities, state.d))
 
 
 # Entries of the largest amplitude or matrix stack `reduction_stacks` forms at
@@ -287,7 +283,7 @@ def reduction_stacks(state: StateVector, r: int) -> Iterator[tuple[np.ndarray, n
     n, d = state.n, state.d
     rows, cols = d**r, d ** (n - r)
     first = sum(math.comb(n, s) for s in range(r))
-    masks = support_masks(n)[first : first + math.comb(n, r)]
+    masks = _supports(n)[1][first : first + math.comb(n, r)]
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
     tensor = state.amplitudes.reshape((d,) * n)
     keeps = itertools.combinations(range(n), r)
@@ -313,7 +309,10 @@ def k_uniformity(state: StateVector, k: int) -> UniformityReport:
     """Is every k-party reduction maximally mixed, within 1e-9 in max entry?"""
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
-    worst = max(max_deviation(rho) for _, rho in reduction_stacks(state, k))
+    worst = max(
+        partial_trace(state, sites).deviation()
+        for sites in itertools.combinations(range(state.n), k)
+    )
     return UniformityReport(worst <= UNIFORMITY_TOL, worst)
 
 
@@ -335,3 +334,30 @@ def projector_property_residual(state: StateVector, keep: Iterable[int]) -> floa
         norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
         return norm_sq * abs(norm_sq - 1.0)
     return partial_trace(state, [j for j in range(state.n) if j not in sites]).projector_residual()
+
+
+def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribution]:
+    """(k-uniformity deviation, projector residual, weight traces) from one sweep.
+
+    Each reduction rho_R with 1 <= |R| <= floor(n/2) is formed and validated
+    once, a stack of them at a time.  A stack gives the projector residual of
+    the complementary keep-sets, at |R| = floor(n/2) the k-uniformity
+    deviation, and the purity of every R that represents its pair {R, Rbar},
+    the rule of `_purities`, from which the weight traces follow by the same
+    transform as in `weight_distribution`.
+    """
+    n, m = state.n, state.n // 2
+    reps = _pair_representatives(n)
+    # keeping all n parties traces out nothing: its residual is a scalar
+    dev, proj = 0.0, projector_property_residual(state, range(n))
+    purities = np.empty(2**n)
+    purities[0] = _empty_purity(state)
+    for size in range(1, m + 1):
+        for masks, rho in reduction_stacks(state, size):
+            proj = max(proj, _max_projector_residual(rho))
+            if size == m:
+                dev = max(dev, _max_deviation(rho))
+            for i in np.flatnonzero(reps[masks] == masks):
+                purities[masks[i]] = np.vdot(rho[i], rho[i]).real
+    traces = _transform(purities[reps], state.d)
+    return dev, proj, WeightDistribution.from_masks(n, state.d, traces)

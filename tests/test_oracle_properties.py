@@ -4,9 +4,9 @@ The purity route and the Bloch-basis route must agree support by support,
 the purity route resums to d^n, weight traces are local-unitary invariants,
 and relabelling the parties relabels the supports.  `verify`'s one sweep
 reports what `k_uniformity`, `projector_property_residual` and
-`weight_distribution` give on their own, `k_uniformity`'s stacks give what
-`partial_trace` gives set by set, and the Frobenius projector residual is a
-local-unitary invariant.
+`weight_distribution` give on their own, `k_uniformity` and the sweep's
+stacks give what `partial_trace` gives set by set, and the Frobenius
+projector residual is a local-unitary invariant.
 States are drawn from a seed so that hypothesis can shrink a failure to a
 reproducible (n, d, seed).
 
@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ame.cli import _verification_sweep, run_verification
+from ame.cli import run_verification
 from ame.oracle import (
     StateVector,
     k_uniformity,
@@ -30,6 +30,7 @@ from ame.oracle import (
     weight_distribution,
     weight_distribution_basis,
 )
+from ame.oracle.weights import _max_deviation, reduction_stacks, verification_sweep
 
 TOL = 1e-9
 
@@ -136,7 +137,7 @@ def test_verification_sweep_reports_the_standalone_checks(shape):
 def test_verification_sweep_weights_equal_the_purity_route(shape):
     n, d, seed = shape
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
-    got = _verification_sweep(state)[2].per_weight()
+    got = verification_sweep(state)[2].per_weight()
     want = weight_distribution(state).per_weight()
     assert got.keys() == want.keys()
     for w in want:
@@ -146,7 +147,7 @@ def test_verification_sweep_weights_equal_the_purity_route(shape):
 
 @settings(max_examples=12, deadline=None)
 @given(shapes)
-def test_k_uniformity_equals_the_per_set_deviations(shape):
+def test_k_uniformity_and_stacks_equal_the_per_set_deviations(shape):
     n, d, seed = shape
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
     for k in range(1, n):
@@ -154,6 +155,7 @@ def test_k_uniformity_equals_the_per_set_deviations(shape):
             partial_trace(state, R).deviation() for R in itertools.combinations(range(n), k)
         )
         assert k_uniformity(state, k).max_deviation == per_set, k
+        assert max(_max_deviation(rho) for _, rho in reduction_stacks(state, k)) == per_set, k
 
 
 @settings(max_examples=12, deadline=None)
@@ -162,7 +164,7 @@ def test_verification_sweep_residual_equals_the_standalone_maximum(shape):
     n, d, seed = shape
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
     residual = max(projector_property_residual(state, keep) for keep in _keep_sets(n))
-    assert _verification_sweep(state)[1] == residual
+    assert verification_sweep(state)[1] == residual
     assert run_verification(state, TOL)[-1][2] == f"max residual {residual:.3e}"
 
 

@@ -338,17 +338,11 @@ def test_reduction_stacks_equal_partial_traces(monkeypatch, state, entries):
             assert rho.tobytes() == partial_trace(state, R).entries.tobytes(), R
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_support_masks_follow_combinations_order(n):
-    supports = [S for r in range(n + 1) for S in itertools.combinations(range(n), r)]
-    assert weights.support_masks(n).tolist() == [sum(1 << j for j in S) for S in supports]
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pair_representatives_are_the_smaller_side(n):
     full = 2**n - 1
     want = [min(t, full ^ t, key=lambda k: (k.bit_count(), k)) for t in range(2**n)]
-    assert weights.pair_representatives(n).tolist() == want
+    assert weights._pair_representatives(n).tolist() == want
 
 
 def _per_subset_by_mask(state):
