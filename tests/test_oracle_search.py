@@ -53,6 +53,19 @@ def test_search_hits_frozen_and_every_hit_verified(n, d, count, first):
         assert k_uniformity(graph_state(spec), n // 2).uniform
 
 
+# exhaustive hit counts on small qudit and composite shapes, frozen from the
+# float-winnowed search before the exact kernel test replaced it
+@pytest.mark.parametrize(
+    "n, d, count",
+    [(3, 4, 32), (4, 4, 0), (3, 5, 112), (3, 6, 80), (2, 7, 6), (3, 7, 324)],
+)
+def test_search_hit_counts_frozen_and_every_hit_verified(n, d, count):
+    hits = find_ame_graph(n, d)
+    assert len(hits) == count
+    for spec in hits:
+        assert k_uniformity(graph_state(spec), n // 2).uniform
+
+
 def test_limit_truncates_deterministically():
     full = find_ame_graph(5, 2)
     assert find_ame_graph(5, 2, limit=3) == full[:3]
