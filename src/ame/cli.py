@@ -338,7 +338,7 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     """
     if state.n < 2:
         raise ValueError("verification needs at least two parties")
-    oracle.weights.check_desk_scale(state)
+    oracle.weights.check_desk_scale(state.n, state.d)
     work = _verify_work(state.n, state.d)
     if work > MAX_VERIFY_WORK:
         raise ValueError(

@@ -12,7 +12,8 @@ import functools
 import re
 
 from .search import find_ame_graph
-from .states import GraphSpec, StateVector, ame43, bell, ghz, graph_state, ring_graph
+from .states import GraphSpec, StateVector, ame43, ghz, graph_state, ring_graph
+from .weights import check_desk_scale
 
 BUILTIN_NAMES = ("bell(2)", "bell(3)", "ghz3(2)", "ghz3(3)", "ame43", "ring5", "ame62")
 
@@ -42,18 +43,19 @@ def ame62() -> StateVector:
 def builtin_state(name: str) -> StateVector:
     """Fixture lookup: bell(d), ghz3(d), ame43, ring5, ame62.
 
-    bell and ghz3 default to qubits when no dimension argument is given.
+    bell and ghz3 default to qubits when no dimension argument is given; one
+    past `DESK_SCALE` is refused before its amplitudes are formed.
     """
     match = _NAME_RE.match(name.strip())
     if match is None:
         raise ValueError(f"unknown builtin state: {name!r}")
     base, arg = match.group(1), match.group(2)
-    d = int(arg) if arg is not None else None
-    if base == "bell":
-        return bell(d if d is not None else 2)
-    if base == "ghz3":
-        return ghz(3, d if d is not None else 2)
-    if d is None:
+    if base in ("bell", "ghz3"):
+        # bell(d) is the two-party GHZ state
+        n, d = (2 if base == "bell" else 3), int(arg or 2)
+        check_desk_scale(n, d)
+        return ghz(n, d)
+    if arg is None:
         if base == "ame43":
             return ame43()
         if base == "ring5":

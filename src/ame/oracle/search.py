@@ -7,15 +7,34 @@ import itertools
 import numpy as np
 
 from .states import GraphSpec, StateVector, graph_amplitudes
-from .weights import _ket_matrix, k_uniformity
+from .weights import k_uniformity
 
 _STATE_CAP = 10**4
 _GRAPH_CAP = 10**7
 _BATCH = 4096
-# winnowing threshold on bipartition purities; survivors still face the full
-# reduced-matrix check, so this only needs to be loose enough never to drop
-# a genuine hit
-_WINNOW_TOL = 1e-6
+
+
+def _uniform_cuts(adj: np.ndarray, d: int) -> np.ndarray:
+    """Which graphs of a (B, n, n) adjacency stack have a floor(n/2)-uniform state, exactly.
+
+    The reduction of a graph state onto T has entries
+    d^-|T| * phase * [G (s - s') = 0 mod d] with G = adj[Tbar, T], so it is
+    maximally mixed exactly when G x != 0 mod d for every nonzero x in Z_d^|T|.
+    Under the search caps that is at most d^|T| - 1 <= 99 vectors, and a
+    composite d needs no factorisation.  Each cut reads only the candidates
+    every earlier cut has kept.
+    """
+    n = adj.shape[-1]
+    k = n // 2
+    # every nonzero x in Z_d^k, one per column; np.indices lists zero first
+    xs = np.indices((d,) * k).reshape(k, -1)[:, 1:]
+    alive = np.ones(len(adj), dtype=bool)
+    for cut in itertools.combinations(range(n), k):
+        rest = [j for j in range(n) if j not in cut]
+        live = np.flatnonzero(alive)
+        images = adj[live][:, rest][:, :, cut] @ xs % d
+        alive[live] = images.any(axis=1).all(axis=1)
+    return alive
 
 
 def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
@@ -25,10 +44,10 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
     {0, ..., d-1}; candidate k is the integer whose base-d digits are the edge
     weights in lexicographic edge order (0,1), (0,2), ..., first edge most
     significant, and candidates are scanned in ascending order, so the result
-    order is deterministic.  Batches of candidates are first winnowed by
-    bipartition purities (a maximally mixed reduction is exactly the purity
-    minimizer), then each survivor is confirmed with the entrywise
-    k_uniformity check.  `limit` stops the search after that many hits.
+    order is deterministic.  Each batch of candidates is decided exactly over
+    Z_d by the kernel test of `_uniform_cuts`, with no amplitudes formed; each
+    survivor's state is then confirmed with the entrywise k_uniformity check.
+    `limit` stops the search after that many hits.
     """
     if n < 2 or d < 2:
         raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
@@ -43,34 +62,17 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
             f"candidate count d**(n(n-1)/2) <= {_GRAPH_CAP}, got n={n}, d={d}"
         )
     total = d**n_edges
-    k = n // 2
-    # one bipartition per complementary pair: for even n keep only k-sets
-    # containing vertex 0 (purity is symmetric under complement on pure states)
-    cuts = [
-        sites
-        for sites in itertools.combinations(range(n), k)
-        if n != 2 * k or 0 in sites
-    ]
     powers = d ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
     upper = np.triu_indices(n, 1)
-    target = float(d) ** (-k)
     found: list[GraphSpec] = []
     for start in range(0, total, _BATCH):
-        ids = np.arange(start, min(start + _BATCH, total))
-        weights = (ids[:, None] // powers[None, :]) % d
-        amps = graph_amplitudes(n, d, weights)
-        alive = np.ones(len(ids), dtype=bool)
-        for sites in cuts:
-            if not alive.any():
-                break
-            psi = _ket_matrix(amps[alive], n, d, sites)
-            rho = np.einsum("sab,scb->sac", psi, psi.conj())
-            purity = np.einsum("sac,sac->s", rho, rho.conj()).real
-            ok = np.abs(purity - target) <= _WINNOW_TOL
-            alive[np.flatnonzero(alive)[~ok]] = False
-        for row in np.flatnonzero(alive):
-            if k_uniformity(StateVector(n, d, amps[row]), k).uniform:
-                found.append(GraphSpec.from_edges(n, d, zip(*upper, weights[row])))
+        weights = np.arange(start, min(start + _BATCH, total))[:, None] // powers % d
+        adj = np.zeros((len(weights), n, n), dtype=np.int64)
+        adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = weights
+        for row in np.flatnonzero(_uniform_cuts(adj, d)):
+            amps = graph_amplitudes(n, d, weights[row])
+            if k_uniformity(StateVector(n, d, amps), n // 2).uniform:
+                found.append(GraphSpec(n, d, adj[row]))
                 if limit is not None and len(found) >= limit:
                     return found
     return found

@@ -5,8 +5,9 @@ Amplitude indexing is fixed once and for all: the basis label
 significant.  Everything downstream (reductions, the state-file format, the
 graph search) relies on this convention, so it is enforced here and nowhere
 re-derived.  `graph_amplitudes` owns the graph phases, for `graph_state` and
-for the exhaustive search alike; reductions and the search's bipartitions
-take their party axes from `weights._ket_matrix`, which reads this rule.
+for the states the exhaustive search confirms; reductions take their party
+axes from `weights._ket_matrix`, which reads this rule.  The search decides
+its candidates on the adjacency alone and forms no reduction of its own.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def bell(d: int = 2) -> StateVector:
 
 def ghz(n: int, d: int = 2) -> StateVector:
     """Generalized GHZ state sum_i |i...i> / sqrt(d) on n parties."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
+    if n < 2 or d < 2:
+        raise ValueError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     amps = np.zeros(d**n, dtype=np.complex128)
     stride = sum(d**j for j in range(n))
     amps[np.arange(d) * stride] = 1.0 / math.sqrt(d)
@@ -140,7 +141,7 @@ def ring_graph(n: int, d: int = 2) -> GraphSpec:
 
 
 def graph_amplitudes(n: int, d: int, weights) -> np.ndarray:
-    """Flat graph-state amplitudes for one row or a batch of rows of edge weights.
+    """Flat graph-state amplitudes for one row of edge weights.
 
     Weights follow the lexicographic edge order (0,1), (0,2), ..., (n-2,n-1);
     edge {u, v} of weight w multiplies the amplitude of |s> by

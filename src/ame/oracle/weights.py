@@ -42,10 +42,10 @@ from .states import StateVector
 DESK_SCALE = 10**6
 
 
-def check_desk_scale(state: StateVector) -> None:
-    """Reject a state with d**n > DESK_SCALE before any work on it."""
-    if state.d**state.n > DESK_SCALE:
-        raise ValueError(f"state too large: d**n = {state.d**state.n} > {DESK_SCALE}")
+def check_desk_scale(n: int, d: int) -> None:
+    """Reject a state of n qudits with d**n > DESK_SCALE before any work on it."""
+    if d**n > DESK_SCALE:
+        raise ValueError(f"state too large: d**n = {d**n} > {DESK_SCALE}")
 
 
 def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool = False):
@@ -71,15 +71,10 @@ def _ket_axes(n: int, keep: tuple[int, ...]) -> list[int]:
 
 
 def _ket_matrix(amps: np.ndarray, n: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Flat amplitudes as (kept, traced-out) matrices, kept sites in ascending order.
-
-    `amps` is one state of d**n amplitudes or a batch of them along a leading
-    axis.
-    """
-    batch = amps.shape[:-1]
-    axes = tuple(range(len(batch))) + tuple(len(batch) + a for a in _ket_axes(n, keep))
-    t = amps.reshape(batch + (d,) * n).transpose(axes)
-    return np.ascontiguousarray(t).reshape(batch + (d ** len(keep), d ** (n - len(keep))))
+    """One state's d**n flat amplitudes as the (kept, traced-out) matrix, kept
+    sites in ascending order."""
+    t = amps.reshape((d,) * n).transpose(_ket_axes(n, keep))
+    return np.ascontiguousarray(t).reshape(d ** len(keep), d ** (n - len(keep)))
 
 
 def _validate(rho: np.ndarray) -> None:
@@ -260,7 +255,7 @@ class WeightDistribution:
 
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only."""
-    check_desk_scale(state)
+    check_desk_scale(state.n, state.d)
     purities = _purities(state, tuple(range(state.n)))
     return WeightDistribution.from_masks(state.n, state.d, _transform(purities, state.d))
 

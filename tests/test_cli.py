@@ -443,6 +443,15 @@ def test_verify_unknown_builtin(capsys):
     assert "unknown builtin" in err
 
 
+@pytest.mark.parametrize("name", ["bell(100000)", "ghz3(300)"])
+def test_verify_builtin_past_desk_scale_is_input_error(capsys, name):
+    code, out, err = run(capsys, "verify", "--state", f"builtin:{name}")
+    assert code == 1
+    assert "state too large" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_find_graph_empty_message(capsys):
     code, out, _ = run(capsys, "find-graph", "--n", "4", "--d", "2")
     assert code == 0

@@ -1,3 +1,7 @@
+import itertools
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from ame.oracle import (
@@ -9,6 +13,7 @@ from ame.oracle import (
     k_uniformity,
     ring_graph,
 )
+from ame.oracle.search import _uniform_cuts
 
 
 def test_two_qubit_search_finds_only_the_edge():
@@ -66,6 +71,27 @@ def test_search_hit_counts_frozen_and_every_hit_verified(n, d, count):
         assert k_uniformity(graph_state(spec), n // 2).uniform
 
 
+@pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (3, 4), (3, 6), (4, 4)])
+def test_kernel_test_matches_dense_check_on_every_candidate(n, d):
+    upper = np.triu_indices(n, 1)
+    weights = np.array(list(itertools.product(range(d), repeat=len(upper[0]))))
+    adj = np.zeros((len(weights), n, n), dtype=np.int64)
+    adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = weights
+    dense = [k_uniformity(graph_state(GraphSpec(n, d, a)), n // 2).uniform for a in adj]
+    assert _uniform_cuts(adj, d).tolist() == dense
+
+
+def test_search_forms_no_amplitude_batches():
+    # the (4, 6) corner has 46,656 candidates of 1,296 amplitudes and no hit
+    tracemalloc.start()
+    try:
+        assert find_ame_graph(4, 6) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_limit_truncates_deterministically():
     full = find_ame_graph(5, 2)
     assert find_ame_graph(5, 2, limit=3) == full[:3]
@@ -110,6 +136,23 @@ def test_ame62_fixture_is_three_uniform():
     # the discovered graph is itself a valid spec on six vertices
     spec = ame62_graph()
     assert spec.n == 6 and spec.d == 2
+
+
+def test_builtin_lookup_refuses_past_desk_scale_before_forming_amplitudes():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="state too large"):
+            builtin_state("ghz3(300)")  # 2.7e7 amplitudes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("name", ["bell(0)", "bell(1)", "ghz3(0)", "ghz3(1)"])
+def test_builtin_lookup_rejects_a_dimension_below_two(name):
+    with pytest.raises(ValueError, match="d >= 2"):
+        builtin_state(name)
 
 
 def test_builtin_lookup_names():
