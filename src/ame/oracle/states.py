@@ -6,7 +6,7 @@ significant.  Everything downstream (reductions, the state-file format, the
 graph search) relies on this convention, so it is enforced here and nowhere
 re-derived.  `graph_amplitudes` owns the graph phases, for `graph_state` and
 for the states the exhaustive search confirms; reductions take their party
-axes from `weights._ket_matrix`, which reads this rule.  The search decides
+axes from `weights._ket_axes`, which reads this rule.  The search decides
 its candidates on the adjacency alone and forms no reduction of its own.
 """
 
@@ -69,10 +69,8 @@ def basis_index(labels: Sequence[int], d: int) -> int:
 
 
 def bell(d: int = 2) -> StateVector:
-    """Maximally entangled pair sum_i |ii> / sqrt(d)."""
-    amps = np.zeros(d * d, dtype=np.complex128)
-    amps[np.arange(d) * (d + 1)] = 1.0 / math.sqrt(d)
-    return StateVector(2, d, amps)
+    """Maximally entangled pair sum_i |ii> / sqrt(d), the two-party GHZ state."""
+    return ghz(2, d)
 
 
 def ghz(n: int, d: int = 2) -> StateVector:

@@ -18,13 +18,15 @@ reduction rho_A is read off its small complement rho_R in Frobenius norm:
 with psi the (A, R) amplitudes and G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
 
-Validated reductions come one stack at a time from `reduction_stacks`: one
-batched matmul and one `_validate` (finite, Hermitian, unit trace, spectrum)
-per stack, the same checks `DensityMatrix` runs on a stack of one.
-`verification_sweep`, behind `ame verify`, reads them and takes its
-purities, and so its weight traces, from the same stacks.
-`weight_distribution` keeps the unvalidated `subset_purity` route, and
-`k_uniformity` one `partial_trace` per keep-set.
+Every reduction is formed in `reduction_stacks`, for the keep-sets it is
+given, one batched matmul per stack and no validation.  `partial_trace` and
+`subset_purity` are stacks of one; `partial_trace` wraps its matrix in
+`DensityMatrix`, whose `_validate` checks it (finite, Hermitian, unit trace,
+spectrum).  `weight_distribution` reads unvalidated stacks of the pair
+representatives only.  `verification_sweep`, behind `ame verify`, forms every
+rho_R with 1 <= |R| <= floor(n/2), runs `_validate` on each stack, and reads
+its purities, and so its weight traces, with the same table loop
+(`_purity_table`).  `k_uniformity` keeps one `partial_trace` per keep-set.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,21 +62,15 @@ def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool
     return tuple(sorted(out))
 
 
-def _ket_axes(n: int, keep: tuple[int, ...]) -> list[int]:
-    """Axes of the (d,)*n amplitude tensor in (kept, traced-out) order.
+def _ket_axes(n: int, mask: int) -> list[int]:
+    """Axes of the (d,)*n amplitude tensor, the parties of bitmask `mask` first
+    and the traced-out ones after, each in ascending order.
 
     Party j is digit j of the flat index, least significant first, so it sits
     on axis n-1-j of the plain reshape.
     """
-    rest = [j for j in range(n) if j not in keep]
-    return [n - 1 - j for j in (*keep, *rest)]
-
-
-def _ket_matrix(amps: np.ndarray, n: int, d: int, keep: tuple[int, ...]) -> np.ndarray:
-    """One state's d**n flat amplitudes as the (kept, traced-out) matrix, kept
-    sites in ascending order."""
-    t = amps.reshape((d,) * n).transpose(_ket_axes(n, keep))
-    return np.ascontiguousarray(t).reshape(d ** len(keep), d ** (n - len(keep)))
+    # a stable sort on "traced out" keeps both groups ascending
+    return [n - 1 - j for j in sorted(range(n), key=lambda j: not mask >> j & 1)]
 
 
 def _validate(rho: np.ndarray) -> None:
@@ -136,8 +132,8 @@ class DensityMatrix:
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on `keep` (ascending order), complement summed out."""
     sites = _validated_sites(state, keep)
-    psi = _ket_matrix(state.amplitudes, state.n, state.d, sites)
-    return DensityMatrix(parties=sites, d=state.d, entries=psi @ psi.conj().T)
+    ((_, rho),) = reduction_stacks(state, [sum(1 << j for j in sites)])
+    return DensityMatrix(parties=sites, d=state.d, entries=rho[0])
 
 
 def _empty_purity(state: StateVector) -> float:
@@ -153,18 +149,23 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
     bipartition, so the computation always runs on the smaller side.
     """
     S = _validated_sites(state, sites, allow_empty=True)
+    mask = sum(1 << j for j in S)
     if len(S) * 2 > state.n:
-        S = tuple(j for j in range(state.n) if j not in S)
-    if not S:
+        mask ^= 2**state.n - 1
+    if not mask:
         return _empty_purity(state)
-    psi = _ket_matrix(state.amplitudes, state.n, state.d, S)
-    rho = psi @ psi.conj().T
+    ((_, rho),) = reduction_stacks(state, [mask])
     return float(np.vdot(rho, rho).real)
 
 
 def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
     """tr(P_S^2) for exact support S, via inclusion-exclusion over purities."""
-    return float(_transform(_purities(state, _validated_sites(state, sites)), state.d)[-1])
+    S = _validated_sites(state, sites)
+    # purities[t] is tr(rho_T^2) for T the sites S[i] with bit i set in t
+    purities = [
+        subset_purity(state, [s for i, s in enumerate(S) if t >> i & 1]) for t in range(2 ** len(S))
+    ]
+    return float(_transform(np.array(purities), state.d)[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,21 +204,26 @@ def _pair_representatives(n: int) -> np.ndarray:
     return out
 
 
-def _purities(state: StateVector, sites: tuple[int, ...]) -> np.ndarray:
-    """tr(rho_T^2) for every T subseteq sites, indexed by bitmask (sites[i] -> bit i).
+def _masks_of_size(n: int, r: int) -> np.ndarray:
+    """Bitmasks of every r-party keep-set, in `itertools.combinations` order."""
+    first = sum(math.comb(n, s) for s in range(r))
+    return _supports(n)[1][first : first + math.comb(n, r)]
 
-    A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each complementary pair
-    is reduced once, on its representative, and serves both masks.
+
+def _purity_table(state: StateVector, stacks: Iterable[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """tr(rho_T^2) for every bitmask T, from (masks, rho) stacks holding every
+    nonempty pair representative.
+
+    A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each pair's purity is
+    read once, off its representative, and serves both masks.
     """
-    local = np.arange(2 ** len(sites))
-    masks = np.zeros_like(local)
-    for i, s in enumerate(sites):
-        masks |= (local >> i & 1) << s
-    reps, pair_of = np.unique(_pair_representatives(state.n)[masks], return_inverse=True)
-    values = [
-        subset_purity(state, [j for j in range(state.n) if rep >> j & 1]) for rep in reps.tolist()
-    ]
-    return np.array(values)[pair_of]
+    reps = _pair_representatives(state.n)
+    purities = np.empty(2**state.n)
+    purities[0] = _empty_purity(state)
+    for masks, rho in stacks:
+        for i in np.flatnonzero(reps[masks] == masks):
+            purities[masks[i]] = np.vdot(rho[i], rho[i]).real
+    return purities[reps]
 
 
 def _transform(w: np.ndarray, d: int) -> np.ndarray:
@@ -254,10 +260,16 @@ class WeightDistribution:
 
 
 def weight_distribution(state: StateVector) -> WeightDistribution:
-    """Weight traces for every nonempty support, purity route.  Desk scale only."""
+    """Weight traces for every nonempty support, purity route.  Desk scale only.
+
+    Only the pair representatives are reduced, unvalidated.
+    """
     check_desk_scale(state.n, state.d)
-    purities = _purities(state, tuple(range(state.n)))
-    return WeightDistribution.from_masks(state.n, state.d, _transform(purities, state.d))
+    n, reps = state.n, _pair_representatives(state.n)
+    keep_sets = (_masks_of_size(n, r) for r in range(1, n // 2 + 1))
+    stacks = (s for k in keep_sets for s in reduction_stacks(state, k[reps[k] == k]))
+    traces = _transform(_purity_table(state, stacks), state.d)
+    return WeightDistribution.from_masks(n, state.d, traces)
 
 
 # Entries of the largest amplitude or matrix stack `reduction_stacks` forms at
@@ -267,29 +279,28 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
 _STACK_ENTRIES = 2**16
 
 
-def reduction_stacks(state: StateVector, r: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Validated reductions rho_R of every r-party R, a stack at a time.
+def reduction_stacks(
+    state: StateVector, keeps: np.ndarray | Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Reductions rho_R of the keep-sets R in `keeps`, a stack at a time, unvalidated.
 
-    Yields (masks, rho): the keep-sets R as bitmasks (party j -> bit j), in
-    `itertools.combinations` order, and their (k, d^r, d^r) reductions, each
-    equal bit for bit to `partial_trace(state, R).entries`.  Each stack is one
-    batched matmul of (k, d^r, d^(n-r)) amplitude matrices and one `_validate`.
+    `keeps` holds bitmasks (party j -> bit j) of one size r.  Yields (masks,
+    rho): the next keep-sets in the order given and their (k, d^r, d^r)
+    reductions, kept sites in ascending order.  Each stack is one batched
+    matmul of (k, d^r, d^(n-r)) amplitude matrices; a caller that needs a
+    density matrix runs `_validate` on it.  Every reduction in `oracle` is
+    formed here.
     """
     n, d = state.n, state.d
-    rows, cols = d**r, d ** (n - r)
-    first = sum(math.comb(n, s) for s in range(r))
-    masks = _supports(n)[1][first : first + math.comb(n, r)]
+    rows = d ** int(keeps[0]).bit_count()
+    cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
     tensor = state.amplitudes.reshape((d,) * n)
-    keeps = itertools.combinations(range(n), r)
-    buf = np.empty((min(size, len(masks)), rows, cols), dtype=np.complex128)
-    for start in range(0, len(masks), size):
-        psi = buf[: min(size, len(masks) - start)]
-        for ket, keep in zip(psi, keeps):
-            ket.reshape((d,) * n)[...] = tensor.transpose(_ket_axes(n, keep))
-        rho = psi @ psi.conj().swapaxes(-1, -2)
-        _validate(rho)
-        yield masks[start : start + len(psi)], rho
+    for start in range(0, len(keeps), size):
+        chunk = keeps[start : start + size]
+        kets = [tensor.transpose(_ket_axes(n, mask)) for mask in map(int, chunk)]
+        psi = np.array(kets).reshape(len(chunk), rows, cols)
+        yield chunk, psi @ psi.conj().swapaxes(-1, -2)
 
 
 class UniformityReport(NamedTuple):
@@ -338,21 +349,22 @@ def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribu
     once, a stack of them at a time.  A stack gives the projector residual of
     the complementary keep-sets, at |R| = floor(n/2) the k-uniformity
     deviation, and the purity of every R that represents its pair {R, Rbar},
-    the rule of `_purities`, from which the weight traces follow by the same
-    transform as in `weight_distribution`.
+    read by the `_purity_table` loop of `weight_distribution`, from which the
+    weight traces follow by the same transform.
     """
     n, m = state.n, state.n // 2
-    reps = _pair_representatives(n)
     # keeping all n parties traces out nothing: its residual is a scalar
     dev, proj = 0.0, projector_property_residual(state, range(n))
-    purities = np.empty(2**n)
-    purities[0] = _empty_purity(state)
-    for size in range(1, m + 1):
-        for masks, rho in reduction_stacks(state, size):
-            proj = max(proj, _max_projector_residual(rho))
-            if size == m:
-                dev = max(dev, _max_deviation(rho))
-            for i in np.flatnonzero(reps[masks] == masks):
-                purities[masks[i]] = np.vdot(rho[i], rho[i]).real
-    traces = _transform(purities[reps], state.d)
+
+    def validated():
+        nonlocal dev, proj
+        for r in range(1, m + 1):
+            for masks, rho in reduction_stacks(state, _masks_of_size(n, r)):
+                _validate(rho)
+                proj = max(proj, _max_projector_residual(rho))
+                if r == m:
+                    dev = max(dev, _max_deviation(rho))
+                yield masks, rho
+
+    traces = _transform(_purity_table(state, validated()), state.d)
     return dev, proj, WeightDistribution.from_masks(n, state.d, traces)

@@ -30,7 +30,12 @@ from ame.oracle import (
     weight_distribution,
     weight_distribution_basis,
 )
-from ame.oracle.weights import _max_deviation, reduction_stacks, verification_sweep
+from ame.oracle.weights import (
+    _masks_of_size,
+    _max_deviation,
+    reduction_stacks,
+    verification_sweep,
+)
 
 TOL = 1e-9
 
@@ -155,7 +160,8 @@ def test_k_uniformity_and_stacks_equal_the_per_set_deviations(shape):
             partial_trace(state, R).deviation() for R in itertools.combinations(range(n), k)
         )
         assert k_uniformity(state, k).max_deviation == per_set, k
-        assert max(_max_deviation(rho) for _, rho in reduction_stacks(state, k)) == per_set, k
+        stacks = reduction_stacks(state, _masks_of_size(n, k))
+        assert max(_max_deviation(rho) for _, rho in stacks) == per_set, k
 
 
 @settings(max_examples=12, deadline=None)

@@ -78,6 +78,20 @@ def test_bell_amplitudes():
     assert state.amplitudes[1] == 0 and state.amplitudes[2] == 0
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 39])
+def test_bell_is_the_two_party_ghz_bit_for_bit(d):
+    # sum_i |ii> / sqrt(d) written out: |ii> sits at flat index i * (d + 1)
+    want = np.zeros(d * d, dtype=np.complex128)
+    want[np.arange(d) * (d + 1)] = 1.0 / math.sqrt(d)
+    assert bell(d).amplitudes.tobytes() == want.tobytes()
+    assert bell(d).amplitudes.tobytes() == ghz(2, d).amplitudes.tobytes()
+
+
+def test_bell_rejects_a_dimension_below_two():
+    with pytest.raises(ValueError, match="need n >= 2 and d >= 2"):
+        bell(1)
+
+
 def test_ghz_support():
     state = ghz(3, 3)
     support = np.flatnonzero(state.amplitudes)

@@ -263,9 +263,20 @@ PAIRED_STATES = {
 
 
 @pytest.mark.parametrize("state", PAIRED_STATES.values(), ids=PAIRED_STATES.keys())
-def test_paired_purities_equal_direct_purities(state):
+def test_paired_purities_equal_direct_purities(monkeypatch, state):
     n = state.n
-    table = weights._purities(state, tuple(range(n)))
+    tables = []
+    purity_table = weights._purity_table
+
+    def capturing(*args):
+        table = purity_table(*args)
+        # the transform overwrites the table in place
+        tables.append(table.copy())
+        return table
+
+    monkeypatch.setattr(weights, "_purity_table", capturing)
+    weight_distribution(state)
+    (table,) = tables
     assert table.shape == (2**n,)
     for mask, value in enumerate(table):
         want = subset_purity(state, [j for j in range(n) if mask >> j & 1])
@@ -279,16 +290,20 @@ def test_paired_purities_equal_direct_purities(state):
 
 @pytest.mark.parametrize("state", PAIRED_STATES.values(), ids=PAIRED_STATES.keys())
 def test_one_purity_per_complementary_pair(monkeypatch, state):
-    calls = []
+    n, full = state.n, 2**state.n - 1
+    formed = []
+    reduction_stacks = weights.reduction_stacks
 
-    def counting(reduced, sites):
-        calls.append(tuple(sites))
-        return subset_purity(reduced, sites)
+    def counting(reduced, keeps):
+        formed.extend(np.asarray(keeps).tolist())
+        return reduction_stacks(reduced, keeps)
 
-    monkeypatch.setattr(weights, "subset_purity", counting)
+    monkeypatch.setattr(weights, "reduction_stacks", counting)
     weight_distribution(state)
-    assert len(calls) <= 2 ** (state.n - 1) + 1
-    assert len(set(calls)) == len(calls)
+    # the smaller side of each pair {T, Tbar}, the lower mask at |T| = n/2
+    reps = {min(t, full ^ t, key=lambda k: (k.bit_count(), k)) for t in range(1, full)}
+    assert sorted(formed) == sorted(reps)
+    assert len(formed) <= 2 ** (n - 1)
 
 
 # --- reductions validated and read a stack at a time
@@ -305,7 +320,8 @@ BAD_MATRICES = {
 def test_stacked_validation_raises_what_density_matrix_raises(bad):
     with pytest.raises(ValueError) as single:
         DensityMatrix((0,), 2, np.array(bad))
-    _, stack = next(weights.reduction_stacks(_random_state(5, 2, 61), 1))
+    singles = weights._masks_of_size(5, 1)
+    _, stack = next(weights.reduction_stacks(_random_state(5, 2, 61), singles))
     stack = stack.copy()
     weights._validate(stack)
     stack[2] = bad
@@ -330,12 +346,38 @@ def test_reduction_stacks_equal_partial_traces(monkeypatch, state, entries):
     n = state.n
     for r in range(1, n):
         keeps = list(itertools.combinations(range(n), r))
-        stacks = list(weights.reduction_stacks(state, r))
+        stacks = list(weights.reduction_stacks(state, weights._masks_of_size(n, r)))
         masks = np.concatenate([m for m, _ in stacks])
         assert masks.tolist() == [sum(1 << j for j in R) for R in keeps]
         rhos = np.concatenate([rho for _, rho in stacks])
         for R, rho in zip(keeps, rhos):
             assert rho.tobytes() == partial_trace(state, R).entries.tobytes(), R
+
+
+def _einsum_reduction(state, R):
+    """rho_R by one np.einsum over the (d,)*n site tensor, kept sites ascending,
+    the first one the most significant digit of the row."""
+    n, d = state.n, state.d
+    ket = [chr(ord("a") + j) for j in range(n)]
+    bra = [chr(ord("A") + j) if j in R else ket[j] for j in range(n)]
+    out = [ket[j] for j in R] + [bra[j] for j in R]
+    t = state.site_tensor()
+    rho = np.einsum(f"{''.join(ket)},{''.join(bra)}->{''.join(out)}", t, t.conj())
+    return rho.reshape(d ** len(R), d ** len(R))
+
+
+@pytest.mark.parametrize("entries", [4, 2**16])
+@pytest.mark.parametrize("state", STACK_STATES.values(), ids=STACK_STATES.keys())
+def test_reduction_stacks_equal_an_einsum_partial_trace(monkeypatch, state, entries):
+    monkeypatch.setattr(weights, "_STACK_ENTRIES", entries)
+    n = state.n
+    for r in range(1, n + 1):
+        keeps = list(itertools.combinations(range(n), r))
+        stacks = weights.reduction_stacks(state, [sum(1 << j for j in R) for R in keeps])
+        rhos = np.concatenate([rho for _, rho in stacks])
+        assert len(rhos) == len(keeps)
+        for R, rho in zip(keeps, rhos):
+            assert np.abs(rho - _einsum_reduction(state, R)).max() <= 1e-15, R
 
 
 @pytest.mark.parametrize("n", range(1, 9))
