@@ -15,6 +15,10 @@ one output path `_emit`: JSON of the raw values, or the md or csv layout,
 whose tables hold raw rows and get their cells from `_cell` only when that
 layout is the one written.  `verify` checks the state against `DESK_SCALE`
 and its estimated work against `MAX_VERIFY_WORK` before any reduction.
+
+The argparse grammar is built once, when this module is imported, and every
+`main` call parses with it.  `solve` builds the one system it prints and
+prints that system's own forward-substitution solution as `x`.
 """
 
 from __future__ import annotations
@@ -262,7 +266,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     size = args.i if args.i is not None else params.i_max
     system = build_system(params, size, "A")
     _check_work([_work(params.n, params.d, size, dump=True, inverse=args.show_inverse)])
-    xs = list(solve_traces(params, i_max=size).traces.values())
+    xs = system.solve()
     doc = {
         "command": "solve",
         "n": args.n,
@@ -429,57 +433,54 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="ame", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+# One grammar per process: every `main` call parses with it.
+_parser = _Parser(prog="ame", description=__doc__.splitlines()[0])
+_sub = _parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    fmt = {"choices": ("md", "csv", "json"), "default": "md"}
+_fmt = {"choices": ("md", "csv", "json"), "default": "md"}
 
-    p = sub.add_parser("table", help="invariant table over a range of n")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n-min", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", **fmt)
-    p.set_defaults(func=cmd_table)
+_p = _sub.add_parser("table", help="invariant table over a range of n")
+_p.add_argument("--d", type=int, required=True)
+_p.add_argument("--n-min", type=int, required=True)
+_p.add_argument("--n-max", type=int, required=True)
+_p.add_argument("--format", **_fmt)
+_p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("check", help="existence verdict for one (n, d)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", **fmt)
-    p.set_defaults(func=cmd_check)
+_p = _sub.add_parser("check", help="existence verdict for one (n, d)")
+_p.add_argument("--n", type=int, required=True)
+_p.add_argument("--d", type=int, required=True)
+_p.add_argument("--format", **_fmt)
+_p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("scan", help="verdict grid for 2..d_max x 2..n_max")
-    p.add_argument("--d-max", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--format", **fmt)
-    p.set_defaults(func=cmd_scan)
+_p = _sub.add_parser("scan", help="verdict grid for 2..d_max x 2..n_max")
+_p.add_argument("--d-max", type=int, required=True)
+_p.add_argument("--n-max", type=int, required=True)
+_p.add_argument("--format", **_fmt)
+_p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("solve", help="dump the exact triangular system")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--i", type=int, default=None, help="system size (default: full, n - floor(n/2))")
-    p.add_argument("--show-inverse", action="store_true")
-    p.add_argument("--format", **fmt)
-    p.set_defaults(func=cmd_solve)
+_p = _sub.add_parser("solve", help="dump the exact triangular system")
+_p.add_argument("--n", type=int, required=True)
+_p.add_argument("--d", type=int, required=True)
+_p.add_argument("--i", type=int, default=None, help="system size (default: full, n - floor(n/2))")
+_p.add_argument("--show-inverse", action="store_true")
+_p.add_argument("--format", **_fmt)
+_p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify", help="oracle checks on a builtin or file state")
-    p.add_argument("--state", required=True, metavar="builtin:NAME|PATH")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.set_defaults(func=cmd_verify)
+_p = _sub.add_parser("verify", help="oracle checks on a builtin or file state")
+_p.add_argument("--state", required=True, metavar="builtin:NAME|PATH")
+_p.add_argument("--tol", type=_tolerance, default=1e-9)
+_p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("find-graph", help="exhaustive AME graph-state search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=cmd_find_graph)
-
-    return parser
+_p = _sub.add_parser("find-graph", help="exhaustive AME graph-state search")
+_p.add_argument("--n", type=int, required=True)
+_p.add_argument("--d", type=int, required=True)
+_p.add_argument("--limit", type=int, default=None)
+_p.set_defaults(func=cmd_find_graph)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -82,7 +82,8 @@ class TriangularSystem:
         B_lj = d^(-m-l)    * C(m+l, m+j)
 
     that is, one Pascal block P_lj = C(m+l, m+j) scaled on both sides by the
-    flavor's `_SCALE` rule.  `entries` and `rhs` are derived on first read.
+    flavor's `_SCALE` rule.  `entries` and `rhs` are derived on first read;
+    `solve` forms neither.
     """
 
     params: SystemParams
@@ -120,12 +121,36 @@ class TriangularSystem:
         a, _ = _SCALE[self.flavor]
         return tuple(Fraction(t, d ** (a * m + l)) for l, t in enumerate(self._scaled_rhs(), 1))
 
+    def solve(self) -> tuple[Fraction, ...]:
+        """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j.
+
+        Row l of the block below its diagonal, C(m+l, m+j) for j = 1..l-1, is
+        kept in one list and stepped to row l+1 in place by Pascal's rule,
+        right to left; only its lead C(m+l, m), which lies outside the block,
+        is stepped by an exact multiply and floor-divide.  So each z_l costs l
+        additions and one dot product, and no binomial is computed from
+        scratch.
+        """
+        d, m = self.params.d, self.params.m
+        _, b = _SCALE[self.flavor]
+        zs: list[int] = []
+        row: list[int] = []
+        lead = m + 1
+        for l, t in enumerate(self._scaled_rhs(), 1):
+            zs.append(t - sum(map(mul, row, zs)))
+            row.append(1)
+            for k in range(l - 1, 0, -1):
+                row[k] += row[k - 1]
+            row[0] += lead
+            lead = lead * (m + l + 1) // (l + 1)
+        return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(zs, 1))
+
 
 def build_system(params: SystemParams, i: int, flavor: Flavor) -> TriangularSystem:
     """The flavor-A or flavor-B triangular system of size i.
 
-    Diagonals are nonzero, so forward substitution solves either flavor
-    uniquely; the entries are only formed when `entries` is read.
+    Diagonals are nonzero, so `solve` gives either flavor's unique solution;
+    the entries are only formed when `entries` is read.
     """
     return TriangularSystem(params, flavor, i)
 
@@ -151,30 +176,6 @@ def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ..
     )
 
 
-def _forward_substitute(system: TriangularSystem) -> tuple[Fraction, ...]:
-    """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j.
-
-    Row l of the block below its diagonal, C(m+l, m+j) for j = 1..l-1, is kept
-    in one list and stepped to row l+1 in place by Pascal's rule, right to
-    left; only its lead C(m+l, m), which lies outside the block, is stepped by
-    an exact multiply and floor-divide.  So each z_l costs l additions and one
-    dot product, and no binomial is computed from scratch.
-    """
-    d, m = system.params.d, system.params.m
-    _, b = _SCALE[system.flavor]
-    zs: list[int] = []
-    row: list[int] = []
-    lead = m + 1
-    for l, t in enumerate(system._scaled_rhs(), 1):
-        zs.append(t - sum(map(mul, row, zs)))
-        row.append(1)
-        for k in range(l - 1, 0, -1):
-            row[k] += row[k - 1]
-        row[0] += lead
-        lead = lead * (m + l + 1) // (l + 1)
-    return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(zs, 1))
-
-
 @dataclass(frozen=True)
 class WeightTraceProfile:
     """Exact invariants indexed by i = 1..i_max (Bloch weight m+i).
@@ -189,21 +190,16 @@ class WeightTraceProfile:
     eigenvalues: dict[int, Fraction]
 
 
-def solve_traces(params: SystemParams, i_max: int | None = None) -> WeightTraceProfile:
-    """Solve both triangular systems by forward substitution.
+def solve_traces(params: SystemParams) -> WeightTraceProfile:
+    """Solve both full-size triangular systems by forward substitution.
 
     This path never evaluates the hypergeometric closed forms; the closed
     forms are the independent route the tests compare against.
     """
-    if i_max is None:
-        i_max = params.i_max
-    _check_i_range(params, i_max)
-    xs = _forward_substitute(build_system(params, i_max, "A"))
-    ys = _forward_substitute(build_system(params, i_max, "B"))
+    xs = build_system(params, params.i_max, "A").solve()
+    ys = build_system(params, params.i_max, "B").solve()
     return WeightTraceProfile(
-        params=params,
-        traces={i + 1: xs[i] for i in range(i_max)},
-        eigenvalues={i + 1: ys[i] for i in range(i_max)},
+        params=params, traces=dict(enumerate(xs, 1)), eigenvalues=dict(enumerate(ys, 1))
     )
 
 

@@ -6,7 +6,7 @@ significant.  Everything downstream (reductions, the state-file format, the
 graph search) relies on this convention, so it is enforced here and nowhere
 re-derived.  `graph_amplitudes` owns the graph phases, for `graph_state` and
 for the states the exhaustive search confirms; reductions take their party
-axes from `weights._ket_axes`, which reads this rule.  The search decides
+axes from `StateVector.site_tensor`, which reads this rule.  The search decides
 its candidates on the adjacency alone and forms no reduction of its own.
 """
 
@@ -174,8 +174,11 @@ def load_state(path) -> StateVector:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        n = int(doc["n"])
-        d = int(doc["d"])
+        n, d = doc["n"], doc["d"]
+        # bool is an int subclass; 2.0 and "2" are not JSON integers
+        for key, value in (("n", n), ("d", d)):
+            if type(value) is not int:
+                raise ValueError(f"field {key!r} must be a JSON integer, got {value!r}")
         amps = np.array([complex(re, im) for re, im in doc["amplitudes"]], dtype=np.complex128)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc

@@ -62,17 +62,6 @@ def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool
     return tuple(sorted(out))
 
 
-def _ket_axes(n: int, mask: int) -> list[int]:
-    """Axes of the (d,)*n amplitude tensor, the parties of bitmask `mask` first
-    and the traced-out ones after, each in ascending order.
-
-    Party j is digit j of the flat index, least significant first, so it sits
-    on axis n-1-j of the plain reshape.
-    """
-    # a stable sort on "traced out" keeps both groups ascending
-    return [n - 1 - j for j in sorted(range(n), key=lambda j: not mask >> j & 1)]
-
-
 def _validate(rho: np.ndarray) -> None:
     """Density-matrix checks on the last two axes of `rho`, one matrix or a stack."""
     # every comparison below is false on NaN
@@ -295,10 +284,15 @@ def reduction_stacks(
     rows = d ** int(keeps[0]).bit_count()
     cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
-    tensor = state.amplitudes.reshape((d,) * n)
+    tensor = state.site_tensor()
     for start in range(0, len(keeps), size):
         chunk = keeps[start : start + size]
-        kets = [tensor.transpose(_ket_axes(n, mask)) for mask in map(int, chunk)]
+        # kept parties first, then traced-out ones, each group ascending: a
+        # stable sort on "traced out"
+        kets = [
+            tensor.transpose(sorted(range(n), key=lambda j: not mask >> j & 1))
+            for mask in map(int, chunk)
+        ]
         psi = np.array(kets).reshape(len(chunk), rows, cols)
         yield chunk, psi @ psi.conj().swapaxes(-1, -2)
 

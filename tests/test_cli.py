@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import random
@@ -21,6 +22,7 @@ from ame.cli import (
     main,
     run_verification,
 )
+from ame.enumerator import TriangularSystem
 from ame.oracle import (
     BUILTIN_NAMES,
     GraphSpec,
@@ -166,6 +168,52 @@ def test_solve_json_structure(capsys):
     assert doc["max_inverse_residual"] == {"numerator": "0", "denominator": "1"}
 
 
+def _fraction(cell) -> Fraction:
+    return Fraction(int(cell["numerator"]), int(cell["denominator"]))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "4", "--d", "3"],
+        ["--n", "8", "--d", "2"],
+        ["--n", "9", "--d", "5"],
+        ["--n", "10", "--d", "2", "--i", "3"],
+    ],
+)
+def test_solve_prints_the_solution_of_the_printed_system(capsys, argv):
+    code, out, _ = run(capsys, "solve", *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    a = [[_fraction(cell) for cell in row] for row in doc["A"]]
+    t = [_fraction(cell) for cell in doc["T"]]
+    x = [_fraction(cell) for cell in doc["x"]]
+    assert len(a) == len(t) == len(x) == doc["size"]
+    for row, rhs in zip(a, t):
+        assert sum(entry * xj for entry, xj in zip(row, x)) == rhs
+
+
+def test_solve_builds_and_solves_one_system(capsys, monkeypatch):
+    built = solved = 0
+    post_init, solve = TriangularSystem.__post_init__, TriangularSystem.solve
+
+    def counted_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    def counted_solve(self):
+        nonlocal solved
+        solved += 1
+        return solve(self)
+
+    monkeypatch.setattr(TriangularSystem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(TriangularSystem, "solve", counted_solve)
+    code, _, _ = run(capsys, "solve", "--n", "8", "--d", "2", "--show-inverse")
+    assert code == 0
+    assert (built, solved) == (1, 1)
+
+
 def test_solve_rejects_out_of_range_subsystem(capsys):
     code, _, err = run(capsys, "solve", "--n", "3", "--d", "2", "--i", "5")
     assert code == 1
@@ -193,6 +241,18 @@ def test_verify_good_state_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--state", str(path))
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_verify_state_file_with_a_fractional_n_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bell.json"
+    save_state(ghz(2, 2), path)
+    doc = json.loads(path.read_text())
+    doc["n"] = 2.9
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert "field 'n' must be a JSON integer" in err
 
 
 def test_verify_unnormalized_file_is_io_error(capsys, tmp_path):
@@ -482,3 +542,43 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "table" in out and "verify" in out
+
+
+# usage error, help, then valid calls of every exact command and one refusal
+_CALLS = [
+    ["table", "--d", "2"],
+    ["--help"],
+    ["check", "--n", "8", "--d", "2"],
+    ["check", "--n", "6", "--d", "3", "--format", "json"],
+    ["table", "--d", "2", "--n-min", "2", "--n-max", "9", "--format", "csv"],
+    ["table", "--d", "3", "--n-min", "4", "--n-max", "6"],
+    ["scan", "--d-max", "3", "--n-max", "8"],
+    ["scan", "--d-max", "2", "--n-max", "6", "--format", "json"],
+    ["solve", "--n", "8", "--d", "2"],
+    ["solve", "--n", "4", "--d", "3", "--show-inverse", "--format", "csv"],
+    ["solve", "--n", "3", "--d", "2", "--i", "5"],
+    ["check", "--n", "8", "--d", "2", "--format", "csv"],
+]
+
+
+def _run_calls(capsys):
+    return [run(capsys, *argv) for argv in _CALLS]
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    codes = [code for code, _, _ in _run_calls(capsys)]
+    assert codes == [1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 2]
+    assert built == 0
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    assert _run_calls(capsys) == _run_calls(capsys)

@@ -185,6 +185,19 @@ def test_load_state_rejects_malformed(tmp_path):
         load_state(path)
 
 
+# int() would read 2.9 as 2 and "2" as 2, so a Bell file claiming n = 2.9 passed
+@pytest.mark.parametrize("field", ["n", "d"])
+@pytest.mark.parametrize("value", [2.9, "2", True, 2.0])
+def test_load_state_requires_json_integer_fields(tmp_path, field, value):
+    path = tmp_path / "bell.json"
+    save_state(bell(), path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"field '{field}' must be a JSON integer"):
+        load_state(path)
+
+
 def test_load_state_rejects_wrong_length(tmp_path):
     path = tmp_path / "short.json"
     doc = {"n": 2, "d": 2, "amplitudes": [[1.0, 0.0]]}
