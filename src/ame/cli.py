@@ -36,7 +36,6 @@ from .enumerator import (
     SystemParams,
     build_system,
     explicit_inverse,
-    solve_traces,
     trace_closed_form,
 )
 from .existence import check, i2_counterexamples, scan
@@ -155,7 +154,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     _check_size(n_max, d)
     _check_work(_work(n, d) for n in range(n_min, n_max + 1))
     columns = list(range(1, (n_max + 1) // 2 + 1))
-    traces = {n: solve_traces(SystemParams(n=n, d=d)).traces for n in range(n_min, n_max + 1)}
+    # the table prints traces only, so each row solves the A system alone
+    traces = {
+        n: dict(enumerate(build_system(SystemParams(n=n, d=d), n - n // 2, "A").solve(), 1))
+        for n in range(n_min, n_max + 1)
+    }
     header = ["n"] + [f"i={i}" for i in columns]
     rows = [[n] + [cells.get(i) for i in columns] for n, cells in traces.items()]
     doc = {

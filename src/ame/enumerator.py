@@ -54,10 +54,6 @@ class SystemParams:
         return self.n - self.m
 
 
-def _d_pow(d: int, exponent: int) -> Fraction:
-    return Fraction(d) ** exponent
-
-
 def _check_i_range(params: SystemParams, i: int) -> None:
     if i < 1 or params.m + i > params.n:
         raise ValueError(
@@ -237,7 +233,7 @@ def _closed_form_body(params: SystemParams, i: int) -> Fraction:
     _check_i_range(params, i)
     n, d, m = params.n, params.d, params.m
     series = _hyp2f1_sweep(params)[i - 1]
-    bracket = (1 + m) - _d_pow(d, 2 * (1 + m) - n) * (i + m) * series
+    bracket = (1 + m) - d ** (2 * (1 + m) - n) * (i + m) * series
     sign = -1 if i % 2 else 1
     return sign * binomial(i + m, 1 + m) * bracket / (i + m)
 
@@ -248,7 +244,7 @@ def trace_closed_form(params: SystemParams, i: int) -> Fraction:
     Value: (-1)^i d^(i+m) C(i+m, 1+m)
            * [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
     """
-    return _d_pow(params.d, i + params.m) * _closed_form_body(params, i)
+    return params.d ** (i + params.m) * _closed_form_body(params, i)
 
 
 def trace_i2_specialization(params: SystemParams) -> Fraction:
@@ -264,8 +260,8 @@ def trace_i2_specialization(params: SystemParams) -> Fraction:
         raise ValueError(f"i=2 out of range for n={params.n}")
     n, d = params.n, params.d
     if n % 2:
-        return Fraction(d - 1, 2) * _d_pow(d, (3 + n) // 2) * (2 * d * d + 2 * d - 1 - n)
-    return Fraction(d * d - 1, 2) * _d_pow(d, 2 + n // 2) * (2 * d * d - 2 - n)
+        return Fraction(d - 1, 2) * d ** ((3 + n) // 2) * (2 * d * d + 2 * d - 1 - n)
+    return Fraction(d * d - 1, 2) * d ** (2 + n // 2) * (2 * d * d - 2 - n)
 
 
 def eigenvalue_closed_form(params: SystemParams, i: int) -> Fraction:
@@ -286,7 +282,7 @@ def purity_identity_residual(params: SystemParams) -> Fraction:
     """
     profile = solve_traces(params)
     n, d, m = params.n, params.d, params.m
-    acc = _d_pow(d, n)
+    acc = d**n
     for i in range(1, params.i_max + 1):
-        acc += binomial(n, m + i) * _d_pow(d, n - (m + i)) * profile.traces[i]
-    return _d_pow(d, -2 * n) * acc - 1
+        acc += binomial(n, m + i) * d ** (n - (m + i)) * profile.traces[i]
+    return acc / d ** (2 * n) - 1

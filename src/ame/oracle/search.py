@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from .states import GraphSpec, StateVector, graph_amplitudes
+from .states import GraphSpec, graph_state
 from .weights import k_uniformity
 
 _STATE_CAP = 10**4
@@ -46,7 +46,8 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
     significant, and candidates are scanned in ascending order, so the result
     order is deterministic.  Each batch of candidates is decided exactly over
     Z_d by the kernel test of `_uniform_cuts`, with no amplitudes formed; each
-    survivor's state is then confirmed with the entrywise k_uniformity check.
+    survivor gets its `GraphSpec`, and the `graph_state` of that spec is then
+    confirmed with the entrywise k_uniformity check.
     `limit` stops the search after that many hits.
     """
     if n < 2 or d < 2:
@@ -70,9 +71,9 @@ def find_ame_graph(n: int, d: int, limit: int | None = None) -> list[GraphSpec]:
         adj = np.zeros((len(weights), n, n), dtype=np.int64)
         adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = weights
         for row in np.flatnonzero(_uniform_cuts(adj, d)):
-            amps = graph_amplitudes(n, d, weights[row])
-            if k_uniformity(StateVector(n, d, amps), n // 2).uniform:
-                found.append(GraphSpec(n, d, adj[row]))
+            spec = GraphSpec(n, d, adj[row])
+            if k_uniformity(graph_state(spec), n // 2).uniform:
+                found.append(spec)
                 if limit is not None and len(found) >= limit:
                     return found
     return found

@@ -4,10 +4,12 @@ Amplitude indexing is fixed once and for all: the basis label
 (s_0, ..., s_{n-1}) sits at flat index sum_j s_j * d**j, party 0 least
 significant.  Everything downstream (reductions, the state-file format, the
 graph search) relies on this convention, so it is enforced here and nowhere
-re-derived.  `graph_amplitudes` owns the graph phases, for `graph_state` and
-for the states the exhaustive search confirms; reductions take their party
-axes from `StateVector.site_tensor`, which reads this rule.  The search decides
-its candidates on the adjacency alone and forms no reduction of its own.
+re-derived.  `graph_state` owns the graph phases and reads them from a
+`GraphSpec` adjacency, the one graph format below the search's candidate
+numbering; reductions take their party axes from `StateVector.site_tensor`,
+which reads this rule.  The search decides its candidates on the adjacency
+alone, confirms each survivor through `graph_state` and forms no reduction of
+its own.
 """
 
 from __future__ import annotations
@@ -138,34 +140,28 @@ def ring_graph(n: int, d: int = 2) -> GraphSpec:
     return GraphSpec.from_edges(n, d, [(j, (j + 1) % n) for j in range(n - 1)] + [(0, n - 1)])
 
 
-def graph_amplitudes(n: int, d: int, weights) -> np.ndarray:
-    """Flat graph-state amplitudes for one row of edge weights.
+def graph_state(spec: GraphSpec) -> StateVector:
+    """Uniform superposition with one controlled-phase layer per weighted edge.
 
-    Weights follow the lexicographic edge order (0,1), (0,2), ..., (n-2,n-1);
-    edge {u, v} of weight w multiplies the amplitude of |s> by
-    exp(2*pi*i * w * s_u * s_v / d).  The exponent is summed per vertex u, so
-    no (d**n, edges) matrix is formed.
+    Edge {u, v} of weight w multiplies the amplitude of |s> by
+    exp(2*pi*i * w * s_u * s_v / d).  The exponent is summed per vertex u over
+    its later neighbours, row u of the adjacency, so no (d**n, n) product is
+    formed beside the digit table.
     """
-    w = np.asarray(weights, dtype=np.int64)
+    n, d = spec.n, spec.d
+    adj = np.array(spec.adjacency, dtype=np.int64)
     # digits[i, j] = digit of party j in flat index i
     digits = (np.arange(d**n)[:, None] // d ** np.arange(n)) % d
-    blocks = np.split(w, np.cumsum(np.arange(n - 1, 0, -1))[:-1], axis=-1)
-    exponent = sum((b @ digits[:, u + 1 :].T) * digits[:, u] for u, b in enumerate(blocks))
+    exponent = sum((digits[:, u + 1 :] @ adj[u, u + 1 :]) * digits[:, u] for u in range(n))
     # the d distinct phases, computed once and gathered by residue
     phases = np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2.0)
-    return phases[exponent % d]
-
-
-def graph_state(spec: GraphSpec) -> StateVector:
-    """Uniform superposition with one controlled-phase layer per weighted edge."""
-    upper = np.array(spec.adjacency, dtype=np.int64)[np.triu_indices(spec.n, 1)]
-    return StateVector(spec.n, spec.d, graph_amplitudes(spec.n, spec.d, upper))
+    return StateVector(n, d, phases[exponent % d])
 
 
 def load_state(path) -> StateVector:
     """Read a state file: JSON with integer fields n, d and an `amplitudes`
-    array of [real, imaginary] pairs of length d**n (party 0 least
-    significant).
+    array of [real, imaginary] pairs of JSON numbers, of length d**n (party 0
+    least significant).
 
     Normalization is checked at tolerance 1e-9 and the vector is then
     rescaled to unit norm so the StateVector invariant holds at machine
@@ -179,8 +175,12 @@ def load_state(path) -> StateVector:
         for key, value in (("n", n), ("d", d)):
             if type(value) is not int:
                 raise ValueError(f"field {key!r} must be a JSON integer, got {value!r}")
-        amps = np.array([complex(re, im) for re, im in doc["amplitudes"]], dtype=np.complex128)
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = doc["amplitudes"]
+        # complex() would read true as 1; an int past float range overflows
+        if any(type(part) not in (int, float) for pair in pairs for part in pair):
+            raise ValueError("amplitude parts must be JSON numbers")
+        amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     norm = float(np.linalg.norm(amps))
     if abs(norm - 1.0) > FILE_NORM_TOL:

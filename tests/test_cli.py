@@ -214,6 +214,20 @@ def test_solve_builds_and_solves_one_system(capsys, monkeypatch):
     assert (built, solved) == (1, 1)
 
 
+def test_table_solves_only_the_system_it_prints(capsys, monkeypatch):
+    flavors = []
+    solve = TriangularSystem.solve
+
+    def counted_solve(self):
+        flavors.append(self.flavor)
+        return solve(self)
+
+    monkeypatch.setattr(TriangularSystem, "solve", counted_solve)
+    code, _, _ = run(capsys, "table", "--d", "2", "--n-min", "2", "--n-max", "13")
+    assert code == 0
+    assert (flavors.count("A"), flavors.count("B")) == (12, 0)
+
+
 def test_solve_rejects_out_of_range_subsystem(capsys):
     code, _, err = run(capsys, "solve", "--n", "3", "--d", "2", "--i", "5")
     assert code == 1
@@ -253,6 +267,28 @@ def test_verify_state_file_with_a_fractional_n_is_input_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "field 'n' must be a JSON integer" in err
+
+
+# a bool amplitude part was read as 0 or 1 and the state failed with exit 2; a
+# 400-digit part raised an uncaught OverflowError
+@pytest.mark.parametrize(
+    "amplitudes",
+    [
+        [[True, False], [False, False], [False, False], [False, False]],
+        [[10**400, 0], [0, 0], [0, 0], [0, 0]],
+    ],
+    ids=["bool", "huge-int"],
+)
+def test_verify_state_file_with_a_non_number_amplitude_is_input_error(
+    capsys, tmp_path, amplitudes
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "amplitudes": amplitudes}))
+    code, out, err = run(capsys, "verify", "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed state file")
+    assert "Traceback" not in err
 
 
 def test_verify_unnormalized_file_is_io_error(capsys, tmp_path):

@@ -12,6 +12,7 @@ from ame.oracle import (
     graph_state,
     k_uniformity,
     ring_graph,
+    search,
 )
 from ame.oracle.search import _uniform_cuts
 
@@ -90,6 +91,20 @@ def test_search_forms_no_amplitude_batches():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n, d, survivors", [(4, 3, 120), (5, 2, 132)])
+def test_search_confirms_each_survivor_through_graph_state(monkeypatch, n, d, survivors):
+    specs = []
+
+    def recorded(spec):
+        specs.append(spec)
+        return graph_state(spec)
+
+    monkeypatch.setattr(search, "graph_state", recorded)
+    hits = find_ame_graph(n, d)
+    assert len(specs) == survivors
+    assert specs == hits
 
 
 def test_limit_truncates_deterministically():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -149,6 +150,21 @@ def test_graph_state_qutrit_phases():
     assert state.amplitudes[idx] == pytest.approx(omega ** (2 * 2 % 3) / 3)
 
 
+# the phase exponent sum_{u<v} G_uv s_u s_v mod d, label by label in Python ints
+@pytest.mark.parametrize("n, d", [(3, 3), (4, 2), (5, 3), (3, 7), (6, 2)])
+def test_graph_state_matches_a_per_label_phase_reference(n, d):
+    rng = np.random.default_rng(100 * n + d)
+    phases = np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2.0)
+    for _ in range(4):
+        edges = [(u, v, int(rng.integers(d))) for u in range(n) for v in range(u + 1, n)]
+        spec = GraphSpec.from_edges(n, d, edges)
+        reference = np.empty(d**n, dtype=np.complex128)
+        for labels in itertools.product(range(d), repeat=n):
+            exponent = sum(w * labels[u] * labels[v] for u, v, w in edges) % d
+            reference[basis_index(labels, d)] = phases[exponent]
+        assert graph_state(spec).amplitudes.tobytes() == reference.tobytes()
+
+
 def test_state_file_round_trip(tmp_path):
     path = tmp_path / "state.json"
     original = ghz(3, 2)
@@ -195,6 +211,24 @@ def test_load_state_requires_json_integer_fields(tmp_path, field, value):
     doc[field] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"field '{field}' must be a JSON integer"):
+        load_state(path)
+
+
+# complex() read true as 1, and a 400-digit int overflowed float outside the
+# ValueError the CLI turns into exit 1
+@pytest.mark.parametrize(
+    "amplitudes, match",
+    [
+        ([[True, False], [False, False], [False, False], [False, False]], "JSON numbers"),
+        ([[10**400, 0], [0, 0], [0, 0], [0, 0]], "too large"),
+        ([["0.5", 0], [0.5, 0], [0.5, 0], [0.5, 0]], "JSON numbers"),
+    ],
+    ids=["bool", "huge-int", "string"],
+)
+def test_load_state_requires_json_number_amplitude_parts(tmp_path, amplitudes, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "d": 2, "amplitudes": amplitudes}))
+    with pytest.raises(ValueError, match=match):
         load_state(path)
 
 
