@@ -11,11 +11,13 @@ gives their entries, their explicit inverses and an integer forward
 substitution that never divides; it steps one Pascal row to the next by
 additions instead of computing a binomial per entry.  Solved values are still
 returned as `Fraction`.  The hypergeometric closed forms for the same
-quantities run on an independent code path: one sweep of Gauss's contiguous
-relation gives the terminating 2F1 for every i of an (n, d), and the per-i
-closed forms read it.  Forward substitution and the closed forms never call
-each other and share nothing beyond `binomial`; their bit-exact agreement is
-the package's central correctness check.
+quantities run on an independent code path: one integer sweep of Gauss's
+contiguous relation gives the terminating 2F1 for every i of an (n, d), and
+each closed-form body is formed from it once, as one `Fraction` per i, which
+both the trace and the eigenvalue closed form read.  Forward substitution
+and the closed forms never call each other and share nothing beyond
+`binomial`; their bit-exact agreement is the package's central correctness
+check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Literal
+from typing import Iterator, Literal
 
 from .exact import binomial
 
@@ -199,9 +201,8 @@ def solve_traces(params: SystemParams) -> WeightTraceProfile:
     )
 
 
-@lru_cache(maxsize=1)
-def _hyp2f1_sweep(params: SystemParams) -> tuple[Fraction, ...]:
-    """F_i = 2F1(1, 1-i; m+2; d^2) for i = 1..i_max, entry i-1, in one sweep.
+def _hyp2f1_sweep(params: SystemParams) -> Iterator[tuple[int, int]]:
+    """(G_i, (c)_{i-1}) for i = 1..i_max, with F_i = 2F1(1, 1-i; c; d^2) = G_i / (c)_{i-1}.
 
     Gauss's contiguous relation in b (DLMF 15.5.11 with a and b swapped, a = 1),
 
@@ -209,33 +210,36 @@ def _hyp2f1_sweep(params: SystemParams) -> tuple[Fraction, ...]:
 
     at b = 1-i, c = m+2, z = d^2 steps F_{i+1} from F_i and F_{i-1}, starting
     at F_1 = 1 and F_2 = 1 - z/c.  Multiplied through by the Pochhammer symbol
-    (c)_i it runs on the integers G_i = (c)_{i-1} F_i without dividing.  One
-    (n, d) is cached, so the trace and eigenvalue closed forms for every i
-    share a single sweep; `hyp2f1_terminating` is the series it is tested
-    against.
+    (c)_i it runs on the integers G_i = (c)_{i-1} F_i without dividing, and
+    the Pochhammer symbol is stepped alongside, so the sweep yields integers
+    only; `hyp2f1_terminating` is the series it is tested against.
     """
     c, z = params.m + 2, params.d**2
-    gs = [1, c - z]
-    for i in range(2, params.i_max):
-        gs.append((2 * i + c - 2 - i * z) * gs[-1] + (i - 1) * (z - 1) * (c + i - 2) * gs[-2])
-    sweep, poch = [], 1
-    for i, g in enumerate(gs[: params.i_max], 1):
-        sweep.append(Fraction(g, poch))
+    g_prev, g, poch = 0, 1, 1
+    yield g, poch
+    for i in range(1, params.i_max):
+        g_prev, g = g, (2 * i + c - 2 - i * z) * g + (i - 1) * (z - 1) * (c + i - 2) * g_prev
         poch *= c + i - 1
-    return tuple(sweep)
+        yield g, poch
 
 
-def _closed_form_body(params: SystemParams, i: int) -> Fraction:
+@lru_cache(maxsize=1)
+def _closed_form_bodies(params: SystemParams) -> tuple[Fraction, ...]:
     """(-1)^i C(i+m, 1+m) [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
 
-    Both closed forms are this value times a power of d.
+    Entry i-1 is the value at i, for every i of an (n, d) from one sweep.
+    With the 2F1 written as G_i / (m+2)_{i-1}, each value is one `Fraction`
+    of two integers, so it is normalised once.  Both closed forms are this
+    value times a power of d; one (n, d) is cached, so they share one sweep.
     """
-    _check_i_range(params, i)
     n, d, m = params.n, params.d, params.m
-    series = _hyp2f1_sweep(params)[i - 1]
-    bracket = (1 + m) - d ** (2 * (1 + m) - n) * (i + m) * series
-    sign = -1 if i % 2 else 1
-    return sign * binomial(i + m, 1 + m) * bracket / (i + m)
+    scale = d ** (2 * (1 + m) - n)
+    bodies = []
+    for i, (g, poch) in enumerate(_hyp2f1_sweep(params), 1):
+        sign = -1 if i % 2 else 1
+        bracket = (1 + m) * poch - scale * (i + m) * g
+        bodies.append(Fraction(sign * binomial(i + m, 1 + m) * bracket, (i + m) * poch))
+    return tuple(bodies)
 
 
 def trace_closed_form(params: SystemParams, i: int) -> Fraction:
@@ -244,7 +248,8 @@ def trace_closed_form(params: SystemParams, i: int) -> Fraction:
     Value: (-1)^i d^(i+m) C(i+m, 1+m)
            * [1+m - d^(2(1+m)-n) (i+m) 2F1(1, 1-i; 2+m; d^2)] / (i+m).
     """
-    return params.d ** (i + params.m) * _closed_form_body(params, i)
+    _check_i_range(params, i)
+    return params.d ** (i + params.m) * _closed_form_bodies(params)[i - 1]
 
 
 def trace_i2_specialization(params: SystemParams) -> Fraction:
@@ -271,7 +276,8 @@ def eigenvalue_closed_form(params: SystemParams, i: int) -> Fraction:
     factor relation traces[i] = d^(m+i) * eigenvalues[i] is asserted in tests
     rather than used here.
     """
-    return _closed_form_body(params, i)
+    _check_i_range(params, i)
+    return _closed_form_bodies(params)[i - 1]
 
 
 def purity_identity_residual(params: SystemParams) -> Fraction:
@@ -279,10 +285,11 @@ def purity_identity_residual(params: SystemParams) -> Fraction:
 
     d^(-2n) [d^n + sum_i C(n, m+i) d^(n-(m+i)) traces[i]] - 1, which is
     exactly zero because the last system row encodes full-state purity.
+    Only the traces enter, so only the flavor-A system is solved.
     """
-    profile = solve_traces(params)
+    traces = build_system(params, params.i_max, "A").solve()
     n, d, m = params.n, params.d, params.m
     acc = d**n
-    for i in range(1, params.i_max + 1):
-        acc += binomial(n, m + i) * d ** (n - (m + i)) * profile.traces[i]
+    for i, trace in enumerate(traces, 1):
+        acc += binomial(n, m + i) * d ** (n - (m + i)) * trace
     return acc / d ** (2 * n) - 1

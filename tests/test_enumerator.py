@@ -9,6 +9,8 @@ import ame.exact
 from ame import enumerator
 from ame.enumerator import (
     SystemParams,
+    TriangularSystem,
+    _closed_form_bodies,
     _hyp2f1_sweep,
     build_system,
     eigenvalue_closed_form,
@@ -190,9 +192,63 @@ def test_closed_form_range_check():
         trace_closed_form(params, params.i_max + 1)
 
 
+def test_cached_closed_forms_alternate_between_points_and_keep_the_range_check():
+    p, q = SystemParams(n=23, d=3), SystemParams(n=30, d=5)
+    alone = {}
+    for params in (p, q):
+        _closed_form_bodies.cache_clear()
+        alone[params] = [
+            (trace_closed_form(params, i), eigenvalue_closed_form(params, i))
+            for i in range(1, params.i_max + 1)
+        ]
+    for i in range(1, p.i_max + 1):
+        for j in range(1, q.i_max + 1):
+            assert trace_closed_form(p, i) == alone[p][i - 1][0]
+            assert eigenvalue_closed_form(q, j) == alone[q][j - 1][1]
+    for params in (p, q):
+        for read in (trace_closed_form, eigenvalue_closed_form):
+            for bad in (0, params.i_max + 1):
+                read(params, 1)
+                with pytest.raises(ValueError):
+                    read(params, bad)
+
+
+def test_ideal_purity_sum_is_the_closed_form():
+    # a third exact route: inclusion-exclusion over the ideal AME purities
+    # tr rho_T^2 = d^-min(|T|, n-|T|) gives tr(P_s^2) for every weight s;
+    # weight 0 is the identity component, 1
+    for d in range(2, 11):
+        for n in range(2, 41):
+            params = SystemParams(n, d)
+            for s in range(n + 1):
+                ideal = d**s * sum(
+                    math.comb(s, t) * (-1) ** (s - t) * Fraction(d) ** (t - min(t, n - t))
+                    for t in range(s + 1)
+                )
+                if s == 0:
+                    assert ideal == 1
+                elif s <= params.m:
+                    assert ideal == 0
+                else:
+                    assert ideal == trace_closed_form(params, s - params.m)
+
+
 def test_purity_identity_is_exactly_zero():
     for params in GRID:
         assert purity_identity_residual(params) == 0
+
+
+def test_purity_identity_solves_only_the_trace_system(monkeypatch):
+    flavors = []
+    solve = TriangularSystem.solve
+
+    def counted_solve(self):
+        flavors.append(self.flavor)
+        return solve(self)
+
+    monkeypatch.setattr(TriangularSystem, "solve", counted_solve)
+    assert purity_identity_residual(SystemParams(n=13, d=3)) == 0
+    assert flavors == ["A"]
 
 
 def test_partial_solve_is_prefix_of_full_solve():
@@ -204,11 +260,13 @@ def test_partial_solve_is_prefix_of_full_solve():
 
 
 def _assert_sweep_is_the_series(params):
-    sweep = _hyp2f1_sweep(params)
+    sweep = list(_hyp2f1_sweep(params))
     assert len(sweep) == params.i_max
-    for i, value in enumerate(sweep, 1):
-        assert type(value) is Fraction
-        assert value == hyp2f1_terminating(params.m + 2, i, params.d**2)
+    c, poch = params.m + 2, 1
+    for i, (g, sweep_poch) in enumerate(sweep, 1):
+        assert type(g) is int and sweep_poch == poch
+        assert Fraction(g, poch) == hyp2f1_terminating(c, i, params.d**2)
+        poch *= c + i - 1
 
 
 def test_hyp2f1_sweep_equals_the_series_on_the_grid():
@@ -242,11 +300,21 @@ def test_closed_forms_share_one_sweep_and_never_sum_the_series(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the closed forms summed the 2F1 series")
 
+    calls = 0
+
+    def counted(n, k):
+        nonlocal calls
+        calls += 1
+        return ame.exact.binomial(n, k)
+
     monkeypatch.setattr(ame.exact, "hyp2f1_terminating", forbidden)
     monkeypatch.setattr(enumerator, "hyp2f1_terminating", forbidden, raising=False)
+    monkeypatch.setattr(enumerator, "binomial", counted)
     params = SystemParams(320, 3)
-    _hyp2f1_sweep.cache_clear()
+    _closed_form_bodies.cache_clear()
     for i in range(1, params.i_max + 1):
         trace_closed_form(params, i)
         eigenvalue_closed_form(params, i)
-    assert _hyp2f1_sweep.cache_info().misses == 1
+    # one body, so one binomial, per i, read by both closed forms
+    assert calls == params.i_max
+    assert _closed_form_bodies.cache_info().misses == 1
