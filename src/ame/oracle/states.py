@@ -146,16 +146,22 @@ def graph_state(spec: GraphSpec) -> StateVector:
     Edge {u, v} of weight w multiplies the amplitude of |s> by
     exp(2*pi*i * w * s_u * s_v / d).  The exponent is summed per vertex u over
     its later neighbours, row u of the adjacency, so no (d**n, n) product is
-    formed beside the digit table.
+    formed beside the digit table.  The quarter-turn phases 1, i, -1 and -i
+    are exact, so every qubit graph state is exactly real; the other phases
+    are as `np.exp` gives them.
     """
     n, d = spec.n, spec.d
     adj = np.array(spec.adjacency, dtype=np.int64)
     # digits[i, j] = digit of party j in flat index i
     digits = (np.arange(d**n)[:, None] // d ** np.arange(n)) % d
     exponent = sum((digits[:, u + 1 :] @ adj[u, u + 1 :]) * digits[:, u] for u in range(n))
-    # the d distinct phases, computed once and gathered by residue
-    phases = np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2.0)
-    return StateVector(n, d, phases[exponent % d])
+    # the d distinct phases, computed once and gathered by residue; the
+    # residues k with d | 4k, every (d/g)-th for g = gcd(4, d), are the quarter
+    # turns i**(4k/d) and get their exact values
+    phases = np.exp(2j * np.pi * np.arange(d) / d)
+    g = math.gcd(4, d)
+    phases[:: d // g] = (1, 1j, -1, -1j)[:: 4 // g]
+    return StateVector(n, d, (phases * d ** (-n / 2.0))[exponent % d])
 
 
 def load_state(path) -> StateVector:

@@ -8,20 +8,23 @@ subsystem purities, for every S at once by one subset-sum transform,
 with the empty reduction read as the scalar 1.  This route never chooses a
 generator basis, which makes it the reference implementation; the expansion
 in `basis` recomputes the same numbers from squared Bloch coefficients and
-the two must agree to 1e-9 on every state.  Reductions stay on the Schmidt
-side (<= d^floor(n/2) a side): purities read the smaller one, and the
-transform takes one purity per complementary pair {T, Tbar}, since a pure
-state gives both the same value.  Supports and pairs are bitmask arrays over
-all 2^n masks (`_supports`, `_pair_representatives`), shared by both weight
-routes and by `verification_sweep`.  The projector residual of a large
-reduction rho_A is read off its small complement rho_R in Frobenius norm:
-with psi the (A, R) amplitudes and G = psi^dag psi = rho_R^T,
+the two must agree on every state to 1e-9, relative to the value once it
+exceeds 1.  Reductions stay on the Schmidt side (<= d^floor(n/2) a side):
+purities read the smaller one, and the transform takes one purity per
+complementary pair {T, Tbar}, since a pure state gives both the same value.
+Supports and pairs are bitmask arrays over all 2^n masks (`_supports`,
+`_pair_representatives`), shared by both weight routes and by
+`verification_sweep`.  The projector residual of a large reduction rho_A is
+read off its small complement rho_R in Frobenius norm: with psi the (A, R)
+amplitudes and G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
 
 Every reduction is formed in `reduction_stacks`, for the keep-sets it is
-given, one batched matmul per stack and no validation.  `partial_trace` and
-`subset_purity` are stacks of one; `partial_trace` wraps its matrix in
-`DensityMatrix`, whose `_validate` checks it (finite, Hermitian, unit trace,
+given, one batched matmul per stack and no validation; the stack's dtype
+follows the state's, float64 for a state with no nonzero imaginary part and
+complex128 otherwise.  `partial_trace` and `subset_purity` are stacks of
+one; `partial_trace` wraps its matrix in `DensityMatrix`, which stores
+complex128 and whose `_validate` checks it (finite, Hermitian, unit trace,
 spectrum).  `weight_distribution` reads unvalidated stacks of the pair
 representatives only.  `verification_sweep`, behind `ame verify`, forms every
 rho_R with 1 <= |R| <= floor(n/2), runs `_validate` on each stack, and reads
@@ -262,9 +265,10 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
 
 
 # Entries of the largest amplitude or matrix stack `reduction_stacks` forms at
-# once, 1 MiB of complex128: 64 reductions of a 10-qubit state a stack.  Larger
-# stacks ran no faster on the benchmark's states and raise the peak RSS; the
-# tracemalloc peak of verifying ghz(12) is 5.3 MiB with it.
+# once, 1 MiB of complex128 (half that for a real state's float64): 64
+# reductions of a 10-qubit state a stack.  Larger stacks ran no faster on the
+# benchmark's states and raise the peak RSS; the tracemalloc peak of verifying
+# ghz(12), a real state, is 3.0 MiB with it (5.6 MiB as complex128).
 _STACK_ENTRIES = 2**16
 
 
@@ -279,12 +283,19 @@ def reduction_stacks(
     matmul of (k, d^r, d^(n-r)) amplitude matrices; a caller that needs a
     density matrix runs `_validate` on it.  Every reduction in `oracle` is
     formed here.
+
+    The stack's dtype follows the state's: a state with no nonzero imaginary
+    part gives float64 reductions psi psi^T, any other state complex128 ones.
     """
     n, d = state.n, state.d
     rows = d ** int(keeps[0]).bit_count()
     cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
     tensor = state.site_tensor()
+    if not tensor.imag.any():
+        # psi.conj() is then psi itself, and psi @ psi.T on one buffer runs as
+        # a BLAS syrk, 1/8 of the complex product's flops
+        tensor = np.ascontiguousarray(tensor.real)
     for start in range(0, len(keeps), size):
         chunk = keeps[start : start + size]
         # kept parties first, then traced-out ones, each group ascending: a

@@ -6,7 +6,9 @@ and relabelling the parties relabels the supports.  `verify`'s one sweep
 reports what `k_uniformity`, `projector_property_residual` and
 `weight_distribution` give on their own, `k_uniformity` and the sweep's
 stacks give what `partial_trace` gives set by set, and the Frobenius
-projector residual is a local-unitary invariant.
+projector residual is a local-unitary invariant.  Real states, whose
+reductions are formed in float64, weigh and verify as their complex global
+phase does and as the Bloch-basis route weighs them.
 States are drawn from a seed so that hypothesis can shrink a failure to a
 reproducible (n, d, seed).
 
@@ -23,7 +25,9 @@ from hypothesis import strategies as st
 
 from ame.cli import run_verification
 from ame.oracle import (
+    GraphSpec,
     StateVector,
+    graph_state,
     k_uniformity,
     partial_trace,
     projector_property_residual,
@@ -45,6 +49,26 @@ shapes = st.tuples(st.integers(2, 6), st.sampled_from([2, 3]), st.integers(0, 2*
 def _haar_vector(rng, size):
     v = rng.normal(size=size) + 1j * rng.normal(size=size)
     return v / np.linalg.norm(v)
+
+
+def _real_state(shape):
+    n, d, seed = shape
+    v = np.random.default_rng(seed).normal(size=d**n)
+    return StateVector(n, d, v / np.linalg.norm(v))
+
+
+def _qubit_graph_state(n, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(u, v, int(rng.integers(2))) for u in range(n) for v in range(u + 1, n)]
+    return graph_state(GraphSpec.from_edges(n, 2, edges))
+
+
+# states with no imaginary part, and a global phase e^(i theta) that makes them complex
+real_states = st.one_of(
+    st.builds(_real_state, shapes),
+    st.builds(_qubit_graph_state, st.integers(2, 6), st.integers(0, 2**32 - 1)),
+)
+phases = st.floats(0.1, 3.0)
 
 
 def _haar_unitary(rng, d):
@@ -184,3 +208,26 @@ def test_projector_residual_invariant_under_local_unitaries(shape):
     for keep in _keep_sets(n):
         gap = projector_property_residual(state, keep) - projector_property_residual(rotated, keep)
         assert abs(gap) <= 1e-12, keep
+
+
+def _complex_phase(state, theta):
+    rotated = StateVector(state.n, state.d, np.exp(1j * theta) * state.amplitudes)
+    assert not state.amplitudes.imag.any() and rotated.amplitudes.imag.any()
+    return rotated
+
+
+@settings(max_examples=12, deadline=None)
+@given(real_states, phases)
+def test_real_states_weigh_as_their_complex_phase_and_the_basis_route(state, theta):
+    dist = weight_distribution(state)
+    assert _max_gap(dist, weight_distribution(_complex_phase(state, theta))) <= TOL
+    assert _max_gap(dist, weight_distribution_basis(state)) <= TOL
+
+
+@settings(max_examples=12, deadline=None)
+@given(real_states, phases)
+def test_verification_sweep_reads_real_states_as_their_complex_phase(state, theta):
+    deviation, residual, _ = verification_sweep(state)
+    phased_deviation, phased_residual, _ = verification_sweep(_complex_phase(state, theta))
+    assert abs(deviation - phased_deviation) <= TOL
+    assert abs(residual - phased_residual) <= TOL

@@ -154,7 +154,12 @@ def test_graph_state_qutrit_phases():
 @pytest.mark.parametrize("n, d", [(3, 3), (4, 2), (5, 3), (3, 7), (6, 2)])
 def test_graph_state_matches_a_per_label_phase_reference(n, d):
     rng = np.random.default_rng(100 * n + d)
-    phases = np.exp(2j * np.pi * np.arange(d) / d) * d ** (-n / 2.0)
+    phases = np.exp(2j * np.pi * np.arange(d) / d)
+    # the quarter turns 1, i, -1, -i are exact
+    for k in range(d):
+        if 4 * k % d == 0:
+            phases[k] = (1, 1j, -1, -1j)[4 * k // d]
+    phases *= d ** (-n / 2.0)
     for _ in range(4):
         edges = [(u, v, int(rng.integers(d))) for u in range(n) for v in range(u + 1, n)]
         spec = GraphSpec.from_edges(n, d, edges)

@@ -351,7 +351,29 @@ def test_reduction_stacks_equal_partial_traces(monkeypatch, state, entries):
         assert masks.tolist() == [sum(1 << j for j in R) for R in keeps]
         rhos = np.concatenate([rho for _, rho in stacks])
         for R, rho in zip(keeps, rhos):
-            assert rho.tobytes() == partial_trace(state, R).entries.tobytes(), R
+            entries = partial_trace(state, R).entries
+            assert rho.astype(np.complex128).tobytes() == entries.tobytes(), R
+
+
+def test_quarter_turn_phases_are_exact_and_real_states_reduce_in_float64():
+    real_states = [builtin_state(name) for name in BUILTIN_NAMES] + [
+        _graph_state(n, seed) for n, seed in ((3, 1), (6, 2), (9, 3))
+    ]
+    for state in real_states:
+        assert not state.amplitudes.imag.any(), (state.n, state.d)
+    # on ququarts every phase is a quarter turn
+    rng = random.Random(4)
+    n = 5
+    edges = [(u, v, rng.randrange(4)) for u in range(n) for v in range(u + 1, n)]
+    amps = graph_state(GraphSpec.from_edges(n, 4, edges)).amplitudes
+    a = 4 ** (-n / 2)
+    assert set(amps.tolist()) <= {a, -a, 1j * a, -1j * a}
+    assert amps.imag.any()
+    qutrit = graph_state(GraphSpec.from_edges(3, 3, [(0, 1), (1, 2, 2)]))
+    for state, dtype in ((ring5(), np.float64), (qutrit, np.complex128)):
+        for r in range(1, state.n):
+            for _, rho in weights.reduction_stacks(state, weights._masks_of_size(state.n, r)):
+                assert rho.dtype == dtype, (state.d, r)
 
 
 def _einsum_reduction(state, R):
