@@ -106,10 +106,10 @@ def _check_size(n: int, d: int) -> None:
 
 # Work cap of one request.  A unit is about one integer product of the forward
 # substitution on a system whose d**n has at most 1024 bits; longer integers
-# cost proportionally more.  On a 2-core host a unit takes 0.3-0.5 us, and the
-# largest requests the cap admits take 5-7 s: `table --d 2 --n-max 512`,
-# `table --d 10 --n-max 454`, `scan --d-max 10 --n-max 245` and
-# `solve --n 284 --d 2 --show-inverse`.
+# cost proportionally more.  On a 2-core host the largest requests the cap
+# admits take 3-5 s: `table --d 2 --n-max 512`, `table --d 10 --n-max 454` and
+# `solve --n 284 --d 2 --show-inverse`.  `scan` stops each point at its first
+# negative row, so its corner `scan --d-max 10 --n-max 245` takes under 1 s.
 MAX_WORK = 2**24
 
 

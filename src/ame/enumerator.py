@@ -8,9 +8,11 @@ lam_{m+i} of those components satisfy a second triangular system with the same
 right-hand side.  Both matrices are one unit-diagonal Pascal block
 C(m+l, m+j) scaled by powers of d on its rows and columns, so one scale rule
 gives their entries, their explicit inverses and an integer forward
-substitution that never divides; it steps one Pascal row to the next by
-additions instead of computing a binomial per entry.  Solved values are still
-returned as `Fraction`.  The hypergeometric closed forms for the same
+substitution that never divides; all three step one Pascal row to the next by
+additions instead of computing a binomial per entry.  The substitution yields
+its integer rows one at a time, each with the sign of its solved value, so a
+caller that needs only signs can stop early; `solve` scales them to
+`Fraction`s.  The hypergeometric closed forms for the same
 quantities run on an independent code path: one integer sweep of Gauss's
 contiguous relation gives the terminating 2F1 for every i of an (n, d), and
 each closed-form body is formed from it once, as one `Fraction` per i, which
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Iterator, Literal
 
@@ -81,7 +84,7 @@ class TriangularSystem:
 
     that is, one Pascal block P_lj = C(m+l, m+j) scaled on both sides by the
     flavor's `_SCALE` rule.  `entries` and `rhs` are derived on first read;
-    `solve` forms neither.
+    `rows` and `solve` form neither.
     """
 
     params: SystemParams
@@ -93,24 +96,25 @@ class TriangularSystem:
         if self.flavor not in _SCALE:
             raise ValueError(f"flavor must be 'A' or 'B', got {self.flavor!r}")
 
-    def _scaled_rhs(self) -> list[int]:
+    def _scaled_rhs(self) -> Iterator[int]:
         """Row l of the right-hand side times its row factor d^(a*m+l): an integer."""
         n, d, m = self.params.n, self.params.d, self.params.m
         a, _ = _SCALE[self.flavor]
         # n <= 2m+1, so both exponents are nonnegative
-        return [
-            d ** ((a + 1) * m + 2 * l - n) - d ** ((a - 1) * m) for l in range(1, self.size + 1)
-        ]
+        for l in range(1, self.size + 1):
+            yield d ** ((a + 1) * m + 2 * l - n) - d ** ((a - 1) * m)
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        d, m = self.params.d, self.params.m
+        d, m, size = self.params.d, self.params.m, self.size
         a, b = _SCALE[self.flavor]
-        span = range(1, self.size + 1)
-        # binomial is 0 above the diagonal
+        powers = list(accumulate(repeat(d, a * m + (1 + b) * size), mul, initial=1))
+        zeros = (Fraction(0),) * size
+        # the block is 0 above the diagonal
         return tuple(
-            tuple(Fraction(binomial(m + l, m + j), d ** (a * m + l + b * j)) for j in span)
-            for l in span
+            tuple(Fraction(c, powers[a * m + l + b * j]) for j, c in enumerate(row, 1))
+            + zeros[l:]
+            for l, row in enumerate(_pascal_rows(m, size), 1)
         )
 
     @cached_property
@@ -119,29 +123,45 @@ class TriangularSystem:
         a, _ = _SCALE[self.flavor]
         return tuple(Fraction(t, d ** (a * m + l)) for l, t in enumerate(self._scaled_rhs(), 1))
 
-    def solve(self) -> tuple[Fraction, ...]:
-        """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j.
+    def rows(self) -> Iterator[int]:
+        """z_l on the unit-diagonal Pascal block, in integers, one row at a time.
 
-        Row l of the block below its diagonal, C(m+l, m+j) for j = 1..l-1, is
-        kept in one list and stepped to row l+1 in place by Pascal's rule,
-        right to left; only its lead C(m+l, m), which lies outside the block,
-        is stepped by an exact multiply and floor-divide.  So each z_l costs l
-        additions and one dot product, and no binomial is computed from
-        scratch.
+        x_l = d^(b*l) z_l, so z_l has the sign of the solved value.  Each
+        z_l costs l additions to step the Pascal row (`_pascal_rows`) and one
+        dot product with the earlier z; nothing is computed past the row the
+        caller stops at.
         """
-        d, m = self.params.d, self.params.m
-        _, b = _SCALE[self.flavor]
         zs: list[int] = []
-        row: list[int] = []
-        lead = m + 1
-        for l, t in enumerate(self._scaled_rhs(), 1):
-            zs.append(t - sum(map(mul, row, zs)))
-            row.append(1)
-            for k in range(l - 1, 0, -1):
-                row[k] += row[k - 1]
-            row[0] += lead
-            lead = lead * (m + l + 1) // (l + 1)
-        return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(zs, 1))
+        for t, row in zip(self._scaled_rhs(), _pascal_rows(self.params.m, self.size)):
+            # row ends in the diagonal 1, which has no z yet; map stops there
+            z = t - sum(map(mul, row, zs))
+            zs.append(z)
+            yield z
+
+    def solve(self) -> tuple[Fraction, ...]:
+        """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j."""
+        _, b = _SCALE[self.flavor]
+        d = self.params.d
+        return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(self.rows(), 1))
+
+
+def _pascal_rows(m: int, size: int) -> Iterator[list[int]]:
+    """Row l = 1..size of the Pascal block, C(m+l, m+j) for j = 1..l.
+
+    One list is stepped to the next row in place by Pascal's rule, right to
+    left; only the lead C(m+l, m), which lies outside the block, is stepped
+    by an exact multiply and floor-divide, so no binomial is computed from
+    scratch.  The same list is yielded every time: copy it to keep a row.
+    """
+    row: list[int] = []
+    lead = m + 1
+    for l in range(1, size + 1):
+        row.append(1)
+        yield row
+        for k in range(l - 1, 0, -1):
+            row[k] += row[k - 1]
+        row[0] += lead
+        lead = lead * (m + l + 1) // (l + 1)
 
 
 def build_system(params: SystemParams, i: int, flavor: Flavor) -> TriangularSystem:
@@ -162,15 +182,17 @@ def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ..
     Tests multiply the matrices and demand the exact identity, and compare the
     entries with these two formulas written out.
     """
-    d, m = system.params.d, system.params.m
+    d, m, size = system.params.d, system.params.m, system.size
     a, b = _SCALE[system.flavor]
-    span = range(1, system.size + 1)
+    powers = list(accumulate(repeat(d, a * m + (1 + b) * size), mul, initial=1))
+    zeros = (Fraction(0),) * size
     return tuple(
         tuple(
-            Fraction((-1) ** (l + j) * d ** (b * l + a * m + j) * binomial(m + l, m + j))
-            for j in span
+            Fraction((-1) ** (l + j) * powers[b * l + a * m + j] * c)
+            for j, c in enumerate(row, 1)
         )
-        for l in span
+        + zeros[l:]
+        for l, row in enumerate(_pascal_rows(m, size), 1)
     )
 
 

@@ -318,3 +318,26 @@ def test_closed_forms_share_one_sweep_and_never_sum_the_series(monkeypatch):
     # one body, so one binomial, per i, read by both closed forms
     assert calls == params.i_max
     assert _closed_form_bodies.cache_info().misses == 1
+
+
+def test_rows_are_the_integers_solve_scales():
+    # x_j = d^j z_j for flavor A and x_j = z_j for flavor B
+    for params in GRID:
+        for flavor, column in (("A", lambda j: j), ("B", lambda j: 0)):
+            sys_ = build_system(params, params.i_max, flavor)
+            zs = list(sys_.rows())
+            assert all(type(z) is int for z in zs)
+            assert sys_.solve() == tuple(
+                Fraction(params.d ** column(j) * z) for j, z in enumerate(zs, 1)
+            )
+
+
+def test_entries_and_inverse_step_pascal_rows_without_binomials(monkeypatch):
+    def forbidden(n, k):
+        raise AssertionError("an entry computed its binomial from scratch")
+
+    monkeypatch.setattr(enumerator, "binomial", forbidden)
+    for flavor in ("A", "B"):
+        sys_ = build_system(SystemParams(64, 3), 32, flavor)
+        sys_.entries
+        explicit_inverse(sys_)

@@ -1,7 +1,9 @@
 import pytest
 
-from ame.enumerator import SystemParams
+from ame import enumerator
+from ame.enumerator import SystemParams, TriangularSystem, build_system
 from ame.existence import (
+    ExistenceVerdict,
     check,
     first_negative_claim_holds,
     i2_counterexamples,
@@ -85,3 +87,59 @@ def test_i2_counterexamples_flags_missing_i2():
     assert i2_counterexamples(verdicts) == []
     # sanity: the filter does see the rule-outs themselves
     assert any(v.ruled_out for v in verdicts)
+
+
+def _decided(verdict):
+    return (verdict.params, verdict.ruled_out, verdict.witness_i, verdict.scott_satisfied)
+
+
+def test_scan_agrees_with_check_on_the_grid():
+    verdicts = scan((2, 10), (2, 100))
+    assert len(verdicts) == 9 * 99
+    assert [_decided(v) for v in verdicts] == [_decided(check(v.params)) for v in verdicts]
+    assert all(v.profile is None for v in verdicts)
+
+
+def test_scan_reads_no_row_past_the_witness(monkeypatch):
+    read, stepped = [], []
+    rows, pascal_rows = TriangularSystem.rows, enumerator._pascal_rows
+
+    def counted(self):
+        for z in rows(self):
+            read.append(self.flavor)
+            yield z
+
+    def counted_pascal(m, size):
+        for row in pascal_rows(m, size):
+            stepped.append(len(row))
+            yield row
+
+    def forbidden(self):
+        raise AssertionError("scan solved a system")
+
+    monkeypatch.setattr(TriangularSystem, "rows", counted)
+    monkeypatch.setattr(TriangularSystem, "solve", forbidden)
+    monkeypatch.setattr(enumerator, "_pascal_rows", counted_pascal)
+    [verdict] = scan((2, 2), (60, 60))
+    assert verdict.ruled_out and verdict.witness_i == 2
+    # i_max is 30, but rows 1 and 2 decide the point and no later row is formed
+    assert read == ["A", "A"]
+    assert stepped == [1, 2]
+
+
+def test_first_trace_is_positive():
+    # the reason a ruled-out point is an i=2 counterexample exactly when its
+    # witness is not 2; the grid reaches the size cap n <= 512
+    for d in range(2, 11):
+        for n in range(2, 513):
+            assert next(build_system(SystemParams(n, d), 1, "A").rows()) > 0
+
+
+def test_i2_counterexamples_reads_the_witness():
+    late = SystemParams(n=20, d=2)
+    verdicts = [
+        ExistenceVerdict(SystemParams(n=8, d=2), True, 2, None, False),
+        ExistenceVerdict(late, True, 3, None, False),
+        ExistenceVerdict(SystemParams(n=7, d=2), False, None, None, True),
+    ]
+    assert i2_counterexamples(verdicts) == [late]
