@@ -23,7 +23,6 @@ from .exact import binomial, hyp2f1_terminating
 from .existence import (
     ExistenceVerdict,
     check,
-    first_negative_claim_holds,
     i2_counterexamples,
     satisfies_scott_bound,
     scan,
@@ -39,7 +38,6 @@ __all__ = [
     "check",
     "eigenvalue_closed_form",
     "explicit_inverse",
-    "first_negative_claim_holds",
     "hyp2f1_terminating",
     "i2_counterexamples",
     "purity_identity_residual",

@@ -13,8 +13,9 @@ from fractions import Fraction
 def binomial(n: int, k: int) -> int:
     """C(n, k), returning 0 whenever k is out of range.
 
-    The zero convention keeps the triangular-matrix builders free of special
-    cases: entries whose binomial vanishes structurally are simply 0.
+    Zero for k < 0 or k > n is the usual convention for the public function;
+    its callers in `enumerator`, the closed-form bodies and
+    `purity_identity_residual`, pass 0 <= k <= n only.
     """
     if n < 0:
         raise ValueError(f"binomial requires n >= 0, got n={n}")

@@ -93,14 +93,3 @@ def i2_counterexamples(verdicts: Iterable[ExistenceVerdict]) -> list[SystemParam
     """
     return [v.params for v in verdicts if v.ruled_out and v.witness_i != 2]
 
-
-def first_negative_claim_holds(
-    d_range: tuple[int, int], n_range: tuple[int, int]
-) -> tuple[bool, list[SystemParams]]:
-    """Does every rule-out on the grid already show a negative trace at i=2?
-
-    Returns the verdict plus the offending grid points.  Vacuously true on
-    grids without any negative trace.
-    """
-    counterexamples = i2_counterexamples(scan(d_range, n_range))
-    return (not counterexamples, counterexamples)

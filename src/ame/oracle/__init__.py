@@ -23,7 +23,6 @@ from .weights import (
     partial_trace,
     projector_property_residual,
     subset_purity,
-    subset_weight_trace,
     weight_distribution,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "ring_graph",
     "save_state",
     "subset_purity",
-    "subset_weight_trace",
     "weight_distribution",
     "weight_distribution_basis",
 ]

@@ -23,13 +23,16 @@ Every reduction is formed in `reduction_stacks`, for the keep-sets it is
 given, one batched matmul per stack and no validation; the stack's dtype
 follows the state's, float64 for a state with no nonzero imaginary part and
 complex128 otherwise.  `partial_trace` and `subset_purity` are stacks of
-one; `partial_trace` wraps its matrix in `DensityMatrix`, which stores
-complex128 and whose `_validate` checks it (finite, Hermitian, unit trace,
-spectrum).  `weight_distribution` reads unvalidated stacks of the pair
-representatives only.  `verification_sweep`, behind `ame verify`, forms every
-rho_R with 1 <= |R| <= floor(n/2), runs `_validate` on each stack, and reads
-its purities, and so its weight traces, with the same table loop
-(`_purity_table`).  `k_uniformity` keeps one `partial_trace` per keep-set.
+one; `partial_trace` wraps its matrix in `DensityMatrix`, the validated
+container, which stores complex128 and whose `_validate` checks it (finite,
+Hermitian, unit trace, spectrum).  The deviation from I/dim and the
+projector residual of one matrix or a stack come from `_max_deviation` and
+`_max_projector_residual`.  `weight_distribution` reads unvalidated stacks
+of the pair representatives only.  `verification_sweep`, behind
+`ame verify`, forms every rho_R with 1 <= |R| <= floor(n/2), runs
+`_validate` on each stack, and reads its purities, and so its weight traces,
+with the same table loop (`_purity_table`).  `k_uniformity` keeps one
+`partial_trace` per keep-set.
 """
 
 from __future__ import annotations
@@ -110,16 +113,6 @@ class DensityMatrix:
         rho.flags.writeable = False
         object.__setattr__(self, "entries", rho)
 
-    def purity(self) -> float:
-        # Frobenius norm squared equals tr(rho^2) for Hermitian rho
-        return float(np.vdot(self.entries, self.entries).real)
-
-    def deviation(self) -> float:
-        return _max_deviation(self.entries)
-
-    def projector_residual(self) -> float:
-        return _max_projector_residual(self.entries)
-
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on `keep` (ascending order), complement summed out."""
@@ -148,16 +141,6 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
         return _empty_purity(state)
     ((_, rho),) = reduction_stacks(state, [mask])
     return float(np.vdot(rho, rho).real)
-
-
-def subset_weight_trace(state: StateVector, sites: Iterable[int]) -> float:
-    """tr(P_S^2) for exact support S, via inclusion-exclusion over purities."""
-    S = _validated_sites(state, sites)
-    # purities[t] is tr(rho_T^2) for T the sites S[i] with bit i set in t
-    purities = [
-        subset_purity(state, [s for i, s in enumerate(S) if t >> i & 1]) for t in range(2 ** len(S))
-    ]
-    return float(_transform(np.array(purities), state.d)[-1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,7 +304,7 @@ def k_uniformity(state: StateVector, k: int) -> UniformityReport:
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
     worst = max(
-        partial_trace(state, sites).deviation()
+        _max_deviation(partial_trace(state, sites).entries)
         for sites in itertools.combinations(range(state.n), k)
     )
     return UniformityReport(worst <= UNIFORMITY_TOL, worst)
@@ -344,7 +327,8 @@ def projector_property_residual(state: StateVector, keep: Iterable[int]) -> floa
     if len(sites) == state.n:
         norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
         return norm_sq * abs(norm_sq - 1.0)
-    return partial_trace(state, [j for j in range(state.n) if j not in sites]).projector_residual()
+    traced_out = [j for j in range(state.n) if j not in sites]
+    return _max_projector_residual(partial_trace(state, traced_out).entries)
 
 
 def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribution]:

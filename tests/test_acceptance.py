@@ -18,9 +18,10 @@ from ame import (
     build_system,
     eigenvalue_closed_form,
     explicit_inverse,
-    first_negative_claim_holds,
+    i2_counterexamples,
     purity_identity_residual,
     satisfies_scott_bound,
+    scan,
     solve_traces,
     trace_closed_form,
     trace_i2_specialization,
@@ -185,7 +186,8 @@ def test_09_graph_search_findings():
 
 
 def test_10_first_negative_claim():
-    holds, counterexamples = first_negative_claim_holds((2, 5), (2, 40))
+    counterexamples = i2_counterexamples(scan((2, 5), (2, 40)))
+    holds = not counterexamples
     label = (
         f"first negative at i=2 over d=2..5, n=2..40: "
         f"{'holds' if holds else 'fails'}"
@@ -194,8 +196,7 @@ def test_10_first_negative_claim():
     with _criterion(10, label):
         # the qubit half of the claim is pinned by the reference table;
         # the wider grid is reported either way
-        sub_holds, sub_cx = first_negative_claim_holds((2, 2), (2, 13))
-        assert sub_holds and sub_cx == []
+        assert i2_counterexamples(scan((2, 2), (2, 13))) == []
         assert holds and counterexamples == []
 
 

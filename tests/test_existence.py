@@ -5,7 +5,6 @@ from ame.enumerator import SystemParams, TriangularSystem, build_system
 from ame.existence import (
     ExistenceVerdict,
     check,
-    first_negative_claim_holds,
     i2_counterexamples,
     satisfies_scott_bound,
     scan,
@@ -77,9 +76,7 @@ def test_scan_rejects_degenerate_lower_bounds():
 
 
 def test_first_negative_claim_on_qubit_range():
-    holds, counterexamples = first_negative_claim_holds((2, 2), (2, 13))
-    assert holds
-    assert counterexamples == []
+    assert i2_counterexamples(scan((2, 2), (2, 13))) == []
 
 
 def test_i2_counterexamples_flags_missing_i2():

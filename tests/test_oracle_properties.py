@@ -181,7 +181,8 @@ def test_k_uniformity_and_stacks_equal_the_per_set_deviations(shape):
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
     for k in range(1, n):
         per_set = max(
-            partial_trace(state, R).deviation() for R in itertools.combinations(range(n), k)
+            _max_deviation(partial_trace(state, R).entries)
+            for R in itertools.combinations(range(n), k)
         )
         assert k_uniformity(state, k).max_deviation == per_set, k
         stacks = reduction_stacks(state, _masks_of_size(n, k))

@@ -20,7 +20,6 @@ from ame.oracle import (
     projector_property_residual,
     ring5,
     subset_purity,
-    subset_weight_trace,
     weight_distribution,
 )
 from ame.oracle import weights
@@ -44,8 +43,8 @@ def test_partial_trace_ghz_two_sites():
 
 def test_partial_trace_full_system_is_pure():
     state = _random_state(3, 2, 11)
-    rho = partial_trace(state, (0, 1, 2))
-    assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+    rho = partial_trace(state, (0, 1, 2)).entries
+    assert np.vdot(rho, rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_partial_trace_validates_sites():
@@ -83,23 +82,6 @@ def test_subset_purity_complement_symmetry():
 
 def test_subset_purity_empty_is_one():
     assert subset_purity(bell(2), ()) == pytest.approx(1.0)
-
-
-def test_subset_weight_trace_bell_pair():
-    assert subset_weight_trace(bell(2), (0, 1)) == pytest.approx(12.0, abs=1e-9)
-
-
-def test_subset_weight_trace_ghz_pair():
-    assert subset_weight_trace(ghz(3, 2), (0, 1)) == pytest.approx(4.0, abs=1e-9)
-
-
-def test_subset_weight_trace_maximally_mixed_site_vanishes():
-    assert subset_weight_trace(bell(2), (0,)) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_subset_weight_trace_rejects_empty():
-    with pytest.raises(ValueError):
-        subset_weight_trace(bell(2), ())
 
 
 def test_product_state_weights():
@@ -248,7 +230,6 @@ def test_bitmask_transform_equals_inclusion_exclusion(state):
         want = _inclusion_exclusion(state, S)
         bound = 1e-12 * state.d ** (2 * len(S))
         assert abs(value - want) <= bound, S
-        assert abs(subset_weight_trace(state, S) - want) <= bound, S
 
 
 # --- one purity per complementary pair, against a direct call on each mask
