@@ -9,11 +9,11 @@ With rho = d^-n sum_alpha r_alpha g_alpha, grouping squared coefficients by
 the exact support S of alpha gives tr(P_S^2) = d^|S| * sum_{supp(alpha)=S}
 r_alpha^2 -- the second, basis-dependent route to the numbers produced by
 `weights.weight_distribution`.  The coefficients come from one BLAS matmul
-per site against the (d^2, d^2) basis matrix.  The grouping needs no
-per-coefficient support bitmask: whether a_j is 0 or not is all that S
-records of party j, so each party's axis of the squared tensor folds to two
-entries (identity, and the sum over the traceless 1..d^2-1), and the
-resulting (2,)*n tensor holds the 2^n support sums.
+per site against the (d^2, d^2) basis matrix, the leading site each time.
+The grouping needs no per-coefficient support bitmask: whether a_j is 0 or
+not is all that S records of party j, so each party's axis of the squared
+tensor folds to two entries (identity, and the sum over the traceless
+1..d^2-1), and the resulting (2,)*n tensor holds the 2^n support sums.
 """
 
 from __future__ import annotations
@@ -58,11 +58,13 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
 
     Contracts the rank-1 density tensor against the basis one site at a time,
     keeping peak memory at two arrays of d^(2n) complex entries instead of the
-    naive d^(3n).  Each site is one BLAS matmul: the site's row and column
-    digits are moved last and the (rows, d^2) array is multiplied by the
-    (d^2, d^2) basis matrix, whose output axis lands after the sites already
-    contracted.  Hermiticity makes every coefficient real; the imaginary parts
-    are checked to be rounding noise and dropped.
+    naive d^(3n).  rho is formed once with each site's row and column digits
+    adjacent, site 0 leading.  Each site is then one BLAS matmul, which reads
+    the transposed operand in place: the leading site's d^2 (row, column)
+    entries are contracted with the (d^2, d^2) basis matrix, and its
+    coefficient axis lands last, after those of the sites already contracted.
+    Hermiticity makes every coefficient real; the imaginary parts are checked
+    to be rounding noise and dropped.
     """
     n, d = state.n, state.d
     if d ** (2 * n) > _COEFF_SCALE:
@@ -71,13 +73,19 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
     # sum_{x,y} rho[x, y] g_a[y, x], the trace over that site
     basis = one_site_basis(d).transpose(2, 1, 0).reshape(d * d, d * d)
     t = np.ascontiguousarray(state.site_tensor()).reshape(d**n)
-    cur = np.outer(t, t.conj())
-    # cur holds (site j row digit, later rows, site j column digit, later
-    # columns, coefficient axes of sites 0..j-1) before step j
-    for j in range(n):
-        r = d ** (n - 1 - j)
-        cur = np.ascontiguousarray(cur.reshape(d, r, d, r, -1).transpose(1, 3, 4, 0, 2))
-        cur = cur.reshape(-1, d * d) @ basis
+    # rho with each site's (row, column) digits adjacent, site 0 leading: one
+    # copy of the C-ordered np.outer, so no reshape below copies; a broadcast
+    # product of the reversed-axis site tensor is not C-ordered, and raised
+    # the peak by a third
+    cur = np.ascontiguousarray(
+        np.outer(t, t.conj())
+        .reshape((d,) * (2 * n))
+        .transpose([a for j in range(n) for a in (j, n + j)])
+    )
+    # cur holds (row and column digits of sites j..n-1, coefficient axes of
+    # sites 0..j-1) before step j
+    for _ in range(n):
+        cur = cur.reshape(d * d, -1).T @ basis
     coeffs = cur.reshape((d * d,) * n)
     if float(np.abs(coeffs.imag).max()) > 1e-9:
         raise AssertionError("Bloch coefficients of a Hermitian matrix must be real")
@@ -89,9 +97,10 @@ def weight_distribution_basis(state: StateVector) -> WeightDistribution:
     n, d = state.n, state.d
     acc = np.square(bloch_coefficients(state))
     # fold each party's axis to (identity, sum over the traceless 1..d^2-1),
-    # last party first, so the folded axes collect at the end
-    for j in range(n):
-        acc = np.add.reduceat(acc.reshape(-1, d * d, 2**j), [0, 1], axis=1)
+    # leading party first, so the folded axes collect at the end in party order
+    for _ in range(n):
+        acc = acc.reshape(d * d, -1)
+        acc = np.stack([acc[0], acc[1:].sum(axis=0)], axis=-1)
     # axis j of the (2,)*n sums is bit j of the support mask
     acc = acc.reshape((2,) * n).transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
     return WeightDistribution.from_masks(n, d, acc * d ** bit_counts(n))

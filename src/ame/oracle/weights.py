@@ -31,8 +31,9 @@ projector residual of one matrix or a stack come from `_max_deviation` and
 of the pair representatives only.  `verification_sweep`, behind
 `ame verify`, forms every rho_R with 1 <= |R| <= floor(n/2), runs
 `_validate` on each stack, and reads its purities, and so its weight traces,
-with the same table loop (`_purity_table`).  `k_uniformity` keeps one
-`partial_trace` per keep-set.
+with the same table loop (`_purity_table`).  `k_uniformity` reads the
+stacks of every k-party keep-set and wraps each matrix in its own
+`DensityMatrix`.
 """
 
 from __future__ import annotations
@@ -300,12 +301,20 @@ UNIFORMITY_TOL = 1e-9
 
 
 def k_uniformity(state: StateVector, k: int) -> UniformityReport:
-    """Is every k-party reduction maximally mixed, within 1e-9 in max entry?"""
+    """Is every k-party reduction maximally mixed, within 1e-9 in max entry?
+
+    The reductions come from one `reduction_stacks` call over every k-party
+    keep-set, and each is validated as its own `DensityMatrix`.
+    """
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
+    # the stacks follow the same combinations order; zip draws a stack's
+    # matrix before its party, so no party is lost at the end of a stack
+    parties = itertools.combinations(range(state.n), k)
     worst = max(
-        _max_deviation(partial_trace(state, sites).entries)
-        for sites in itertools.combinations(range(state.n), k)
+        _max_deviation(DensityMatrix(sites, state.d, rho).entries)
+        for _, stack in reduction_stacks(state, _masks_of_size(state.n, k))
+        for rho, sites in zip(stack, parties)
     )
     return UniformityReport(worst <= UNIFORMITY_TOL, worst)
 

@@ -1,13 +1,18 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ame.oracle import (
+    GraphSpec,
     StateVector,
     ame43,
     ame62,
     bell,
     bloch_coefficients,
     ghz,
+    graph_state,
     one_site_basis,
     ring5,
     weight_distribution,
@@ -122,7 +127,9 @@ def _kron_coefficients(state):
     return r
 
 
-@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3), (4, 3)])
+@pytest.mark.parametrize(
+    "n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (2, 5)]
+)
 def test_bloch_coefficients_equal_kron_reference(n, d):
     state = _random_state(n, d, 60 + 10 * n + d)
     assert np.abs(bloch_coefficients(state) - _kron_coefficients(state)).max() <= 1e-12
@@ -142,11 +149,33 @@ def _bitmask_sums(state):
 
 @pytest.mark.parametrize(
     "state",
-    [ring5(), ame62(), _random_state(6, 2, 71), _random_state(4, 3, 72), _random_state(5, 3, 73)],
-    ids=["ring5", "ame62", "haar6", "haar4-qutrit", "haar5-qutrit"],
+    [
+        ring5(),
+        ame62(),
+        _random_state(6, 2, 71),
+        _random_state(4, 3, 72),
+        _random_state(5, 3, 73),
+        _random_state(2, 5, 74),
+    ],
+    ids=["ring5", "ame62", "haar6", "haar4-qutrit", "haar5-qutrit", "haar2-ququint"],
 )
 def test_weight_distribution_basis_equals_bitmask_sums(state):
     acc = _bitmask_sums(state)
     for S, value in weight_distribution_basis(state).per_subset.items():
         want = state.d ** len(S) * acc[sum(1 << j for j in S)]
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), S
+
+
+def test_basis_route_peak_is_two_coefficient_sized_arrays():
+    # a 10-qubit graph state: each d^(2n) complex array is 16 MiB; a density
+    # tensor that is not C-ordered costs a third array when first reshaped
+    rng = random.Random(5)
+    edges = [(u, v, rng.randrange(2)) for u in range(10) for v in range(u + 1, 10)]
+    state = graph_state(GraphSpec.from_edges(10, 2, edges))
+    tracemalloc.start()
+    try:
+        weight_distribution_basis(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 16 * 2**20 + 2**20

@@ -140,6 +140,32 @@ def test_k_uniformity_ghz4_fails_at_two():
     assert report.max_deviation == pytest.approx(0.25)
 
 
+def test_k_uniformity_reads_one_call_of_stacks_and_validates_each_keep_set(monkeypatch):
+    # 252 five-qubit keep-sets of 32x32 reductions run as four stacks of <= 64
+    calls, stacks, parties = [], [], []
+    reduce = weights.reduction_stacks
+
+    def counted(state, keeps):
+        calls.append(len(keeps))
+        for stack in reduce(state, keeps):
+            stacks.append(len(stack[0]))
+            yield stack
+
+    post_init = DensityMatrix.__post_init__
+
+    def recorded(self):
+        parties.append(self.parties)
+        post_init(self)
+
+    monkeypatch.setattr(weights, "reduction_stacks", counted)
+    monkeypatch.setattr(DensityMatrix, "__post_init__", recorded)
+    report = k_uniformity(ghz(10, 2), 5)
+    assert calls == [252]
+    assert len(stacks) == 4 and sum(stacks) == 252
+    assert parties == list(itertools.combinations(range(10), 5))
+    assert not report.uniform and report.max_deviation == pytest.approx(0.5 - 1 / 32)
+
+
 def test_k_uniformity_range_check():
     with pytest.raises(ValueError):
         k_uniformity(bell(2), 0)
