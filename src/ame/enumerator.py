@@ -7,9 +7,10 @@ whose rows come from the purity of the (m+i)-party reductions; the eigenvalues
 lam_{m+i} of those components satisfy a second triangular system with the same
 right-hand side.  Both matrices are one unit-diagonal Pascal block
 C(m+l, m+j) scaled by powers of d on its rows and columns, so one scale rule
-gives their entries, their explicit inverses and an integer forward
-substitution that never divides; all three step one Pascal row to the next by
-additions instead of computing a binomial per entry.  The substitution yields
+gives their entries and an integer forward substitution that never divides,
+and each explicit inverse is its system's entries times a sign and a power of
+d; entries and substitution step one Pascal row to the next by additions
+instead of computing a binomial per entry.  The substitution yields
 its integer rows one at a time, each with the sign of its solved value, so a
 caller that needs only signs can stop early; `solve` scales them to
 `Fraction`s.  The hypergeometric closed forms for the same
@@ -179,20 +180,20 @@ def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ..
     The signed Pascal block (-1)^(l+j) C(m+l, m+j) inverts P, so entry (l, j)
     is (-1)^(l+j) d^(b*l+a*m+j) C(m+l, m+j): flavor A gives
     (-1)^(l+j) d^(2m+l+j) C(m+l, m+j), flavor B (-1)^(l+j) d^(m+j) C(m+l, m+j).
-    Tests multiply the matrices and demand the exact identity, and compare the
-    entries with these two formulas written out.
+    It is read off `system.entries`, whose entry (l, j) is d^-(a*m+l+b*j)
+    C(m+l, m+j): the inverse's entry (l, j) is that entry times
+    (-1)^(l+j) d^(2am+(1+b)(l+j)), and its upper triangle is the system's
+    own zeros.  Tests multiply the matrices and demand the exact identity,
+    and compare the entries with these two formulas written out.
     """
-    d, m, size = system.params.d, system.params.m, system.size
+    d, m = system.params.d, system.params.m
     a, b = _SCALE[system.flavor]
-    powers = list(accumulate(repeat(d, a * m + (1 + b) * size), mul, initial=1))
-    zeros = (Fraction(0),) * size
     return tuple(
         tuple(
-            Fraction((-1) ** (l + j) * powers[b * l + a * m + j] * c)
-            for j, c in enumerate(row, 1)
+            (-1) ** (l + j) * d ** (2 * a * m + (1 + b) * (l + j)) * e
+            for j, e in enumerate(row, 1)
         )
-        + zeros[l:]
-        for l, row in enumerate(_pascal_rows(m, size), 1)
+        for l, row in enumerate(system.entries, 1)
     )
 
 
@@ -283,8 +284,7 @@ def trace_i2_specialization(params: SystemParams) -> Fraction:
     Its sign reproduces the classic size bound for AME existence, which is
     what makes i=2 the critical weight.
     """
-    if params.i_max < 2:
-        raise ValueError(f"i=2 out of range for n={params.n}")
+    _check_i_range(params, 2)
     n, d = params.n, params.d
     if n % 2:
         return Fraction(d - 1, 2) * d ** ((3 + n) // 2) * (2 * d * d + 2 * d - 1 - n)

@@ -10,13 +10,14 @@ generator basis, which makes it the reference implementation; the expansion
 in `basis` recomputes the same numbers from squared Bloch coefficients and
 the two must agree on every state to 1e-9, relative to the value once it
 exceeds 1.  Reductions stay on the Schmidt side (<= d^floor(n/2) a side):
-purities read the smaller one, and the transform takes one purity per
-complementary pair {T, Tbar}, since a pure state gives both the same value.
-Supports and pairs are bitmask arrays over all 2^n masks (`_supports`,
-`_pair_representatives`), shared by both weight routes and by
-`verification_sweep`.  The projector residual of a large reduction rho_A is
-read off its small complement rho_R in Frobenius norm: with psi the (A, R)
-amplitudes and G = psi^dag psi = rho_R^T,
+a pure state gives T and Tbar the same purity, so every purity, the
+transform's and `subset_purity`'s alike, is read off the one reduction that
+`_pair_representatives` picks for the pair {T, Tbar}.  Supports and pairs
+are bitmask arrays over all 2^n masks (`_supports`, `_pair_representatives`),
+shared by both weight routes, `subset_purity` and `verification_sweep`.  The
+projector residual of a large reduction rho_A is read off its small
+complement rho_R in Frobenius norm: with psi the (A, R) amplitudes and
+G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
 
 Every reduction is formed in `reduction_stacks`, for the keep-sets it is
@@ -33,7 +34,7 @@ of the pair representatives only.  `verification_sweep`, behind
 `_validate` on each stack, and reads its purities, and so its weight traces,
 with the same table loop (`_purity_table`).  `k_uniformity` reads the
 stacks of every k-party keep-set and wraps each matrix in its own
-`DensityMatrix`.
+`DensityMatrix`, on the parties of the mask the stack yields with it.
 """
 
 from __future__ import annotations
@@ -132,12 +133,13 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
     """tr(rho_S^2) for the reduction onto `sites`; the empty reduction gives 1.
 
     A pure state carries equal Schmidt spectra on the two sides of any
-    bipartition, so the computation always runs on the smaller side.
+    bipartition, so the reduction formed is the pair representative of
+    `sites` (`_pair_representatives`): the smaller side, and at |S| = n/2 the
+    lower mask, the same one the purity table reads.  The value is therefore
+    the same for `sites` and its complement, bit for bit.
     """
     S = _validated_sites(state, sites, allow_empty=True)
-    mask = sum(1 << j for j in S)
-    if len(S) * 2 > state.n:
-        mask ^= 2**state.n - 1
+    mask = int(_pair_representatives(state.n)[sum(1 << j for j in S)])
     if not mask:
         return _empty_purity(state)
     ((_, rho),) = reduction_stacks(state, [mask])
@@ -304,17 +306,16 @@ def k_uniformity(state: StateVector, k: int) -> UniformityReport:
     """Is every k-party reduction maximally mixed, within 1e-9 in max entry?
 
     The reductions come from one `reduction_stacks` call over every k-party
-    keep-set, and each is validated as its own `DensityMatrix`.
+    keep-set, and each is validated as its own `DensityMatrix`, whose parties
+    are read off the mask the stack yields with the matrix.
     """
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
-    # the stacks follow the same combinations order; zip draws a stack's
-    # matrix before its party, so no party is lost at the end of a stack
-    parties = itertools.combinations(range(state.n), k)
+    n, d = state.n, state.d
     worst = max(
-        _max_deviation(DensityMatrix(sites, state.d, rho).entries)
-        for _, stack in reduction_stacks(state, _masks_of_size(state.n, k))
-        for rho, sites in zip(stack, parties)
+        _max_deviation(DensityMatrix(tuple(j for j in range(n) if mask >> j & 1), d, rho).entries)
+        for masks, stack in reduction_stacks(state, _masks_of_size(n, k))
+        for mask, rho in zip(masks, stack)
     )
     return UniformityReport(worst <= UNIFORMITY_TOL, worst)
 

@@ -26,6 +26,7 @@ from ame.enumerator import TriangularSystem
 from ame.oracle import (
     BUILTIN_NAMES,
     GraphSpec,
+    StateVector,
     builtin_state,
     ghz,
     graph_state,
@@ -131,6 +132,13 @@ def test_scan_csv_summary_line(capsys):
     lines = out.splitlines()
     assert lines[0] == "d,n,ruled_out,witness_i,scott_satisfied"
     assert lines[-1].startswith("# first negative trace always at i=2: holds")
+
+
+def test_scan_bound_below_two_is_usage_error(capsys):
+    code, out, err = run(capsys, "scan", "--d-max", "1", "--n-max", "5")
+    assert code == 1
+    assert out == ""
+    assert "need bounds >= 2" in err
 
 
 def test_solve_subsystem_matches_hand_computation(capsys):
@@ -255,6 +263,15 @@ def test_verify_good_state_file(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--state", str(path))
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_verify_one_party_state_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "one.json"
+    save_state(StateVector(1, 2, np.array([1.0, 0.0])), path)
+    code, out, err = run(capsys, "verify", "--state", str(path))
+    assert code == 1
+    assert out == ""
+    assert "at least two parties" in err
 
 
 def test_verify_state_file_with_a_fractional_n_is_input_error(capsys, tmp_path):
@@ -512,7 +529,7 @@ def test_inverse_residual_refuses_a_nonzero_upper_triangle(monkeypatch):
         main(["solve", "--n", "4", "--d", "3", "--show-inverse"])
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
 def test_verify_rejects_non_finite_or_negative_tolerance(capsys, tol):
     code, out, err = run(capsys, "verify", "--state", "builtin:bell(2)", "--tol", tol)
     assert code == 1
@@ -537,6 +554,13 @@ def test_verify_unknown_builtin(capsys):
     code, _, err = run(capsys, "verify", "--state", "builtin:nope")
     assert code == 1
     assert "unknown builtin" in err
+
+
+def test_verify_builtin_with_an_unclosed_argument_is_input_error(capsys):
+    code, out, err = run(capsys, "verify", "--state", "builtin:bell(2")
+    assert code == 1
+    assert out == ""
+    assert "unknown builtin state" in err
 
 
 @pytest.mark.parametrize("name", ["bell(100000)", "ghz3(300)"])

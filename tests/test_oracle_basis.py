@@ -18,6 +18,7 @@ from ame.oracle import (
     weight_distribution,
     weight_distribution_basis,
 )
+from ame.oracle import basis
 
 
 def _random_state(n, d, seed):
@@ -46,6 +47,22 @@ def test_basis_orthogonality(d):
         for b in range(d * d):
             inner = np.trace(g[a] @ g[b])
             assert inner == pytest.approx(d if a == b else 0.0, abs=1e-12)
+
+
+def test_one_site_basis_rejects_d_below_two():
+    with pytest.raises(ValueError, match="need d >= 2"):
+        one_site_basis(1)
+
+
+def test_bloch_coefficients_refuses_an_oversized_tensor_before_any_work(monkeypatch):
+    # 4^12 coefficients of 16 bytes would take 256 MiB; the basis is the
+    # first thing the contraction builds
+    def unreachable(d):
+        raise AssertionError("the size check let an oversized tensor through")
+
+    monkeypatch.setattr(basis, "one_site_basis", unreachable)
+    with pytest.raises(ValueError, match="coefficient tensor too large"):
+        bloch_coefficients(ghz(12, 2))
 
 
 def test_bloch_coefficients_single_qubit():

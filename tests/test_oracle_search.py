@@ -140,6 +140,11 @@ def test_search_scale_guard_forms_no_huge_power(n, d):
     assert len(str(info.value)) < 200
 
 
+def test_search_rejects_a_single_party():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        find_ame_graph(1, 2)
+
+
 def test_search_rejects_bad_limit():
     with pytest.raises(ValueError):
         find_ame_graph(4, 2, limit=0)

@@ -115,6 +115,8 @@ def test_graph_spec_validation():
         GraphSpec(2, 2, ((0, 2), (2, 0)))  # weight out of range
     with pytest.raises(ValueError):
         GraphSpec(3, 2, ((0, 1), (1, 0)))  # wrong shape
+    with pytest.raises(ValueError, match="need n >= 1"):
+        GraphSpec(0, 2, ())  # no vertex
 
 
 def test_graph_spec_from_edges_and_edge_list():

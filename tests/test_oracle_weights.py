@@ -64,6 +64,8 @@ def test_density_matrix_invariants_enforced():
         DensityMatrix((0,), 2, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityMatrix((0,), 2, np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError, match="entries must be 2x2"):
+        DensityMatrix((0,), 2, np.eye(4) / 4)  # a valid density matrix of two parties
     nan, inf = float("nan"), float("inf")
     for entries in ([[nan, 0], [0, 1]], [[0.5, nan], [nan, 0.5]], [[inf, 0], [0, 1]]):
         with pytest.raises(ValueError, match="non-finite entries"):
@@ -78,6 +80,16 @@ def test_subset_purity_complement_symmetry():
             assert subset_purity(state, sites) == pytest.approx(
                 subset_purity(state, comp), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (6, 2), (4, 3), (6, 3)])
+def test_subset_purity_is_bit_identical_on_both_halves(n, d):
+    # at |T| = n/2 neither side is smaller; both halves reduce the one mask the
+    # pair rule picks, so they agree exactly and not only to rounding
+    state = _random_state(n, d, 70 + 10 * n + d)
+    for T in itertools.combinations(range(n), n // 2):
+        comp = tuple(j for j in range(n) if j not in T)
+        assert subset_purity(state, T) == subset_purity(state, comp), T
 
 
 def test_subset_purity_empty_is_one():
