@@ -330,6 +330,9 @@ def _verify_work(n: int, d: int) -> int:
     onto r parties costs d**(n + r), for each of the C(n, r) sets with
     r <= floor(n/2).  Validating a reduction and reading its purity,
     projector residual and deviation cost d**(3r), no more than forming it.
+    Every tier is counted as formed directly, although the sweep forms only
+    the floor(n/2)-party tier and traces the smaller ones down from it at
+    d**(2r + 1) a reduction, so the estimate is an upper bound.
     """
     return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
 
@@ -343,7 +346,7 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     closed forms, and every qualifying reduction must satisfy the projector
     property.  A state past `DESK_SCALE` or `MAX_VERIFY_WORK` is refused
     before any reduction.  Every row comes from one small-side sweep,
-    `oracle.weights.verification_sweep`, which forms each reduction once.
+    `oracle.weights.verification_sweep`, which reads each reduction once.
     """
     if state.n < 2:
         raise ValueError("verification needs at least two parties")

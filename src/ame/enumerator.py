@@ -182,17 +182,17 @@ def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ..
     (-1)^(l+j) d^(2m+l+j) C(m+l, m+j), flavor B (-1)^(l+j) d^(m+j) C(m+l, m+j).
     It is read off `system.entries`, whose entry (l, j) is d^-(a*m+l+b*j)
     C(m+l, m+j): the inverse's entry (l, j) is that entry times
-    (-1)^(l+j) d^(2am+(1+b)(l+j)), and its upper triangle is the system's
-    own zeros.  Tests multiply the matrices and demand the exact identity,
-    and compare the entries with these two formulas written out.
+    (-1)^(l+j) d^(2am+(1+b)(l+j)), a factor that depends on l+j only and is
+    stepped once for every l+j, and its upper triangle is the system's own
+    zeros.  Tests multiply the matrices and demand the exact identity, and
+    compare the entries with these two formulas written out.
     """
-    d, m = system.params.d, system.params.m
+    d, m, size = system.params.d, system.params.m, system.size
     a, b = _SCALE[system.flavor]
+    # scales[t] = (-1)^t d^(2am+(1+b)t) for t = l+j
+    scales = list(accumulate(repeat(-(d ** (1 + b)), 2 * size), mul, initial=d ** (2 * a * m)))
     return tuple(
-        tuple(
-            (-1) ** (l + j) * d ** (2 * a * m + (1 + b) * (l + j)) * e
-            for j, e in enumerate(row, 1)
-        )
+        tuple(scales[l + j] * e for j, e in enumerate(row[:l], 1)) + row[l:]
         for l, row in enumerate(system.entries, 1)
     )
 

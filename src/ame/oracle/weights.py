@@ -21,17 +21,26 @@ G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
 
 Every reduction is formed in `reduction_stacks`, for the keep-sets it is
-given, one batched matmul per stack and no validation; the stack's dtype
-follows the state's, float64 for a state with no nonzero imaginary part and
-complex128 otherwise.  `partial_trace` and `subset_purity` are stacks of
-one; `partial_trace` wraps its matrix in `DensityMatrix`, the validated
-container, which stores complex128 and whose `_validate` checks it (finite,
-Hermitian, unit trace, spectrum).  The deviation from I/dim and the
-projector residual of one matrix or a stack come from `_max_deviation` and
-`_max_projector_residual`.  `weight_distribution` reads unvalidated stacks
-of the pair representatives only.  `verification_sweep`, behind
-`ame verify`, forms every rho_R with 1 <= |R| <= floor(n/2), runs
-`_validate` on each stack, and reads its purities, and so its weight traces,
+given, with no validation; the stack's dtype follows the state's, float64
+for a state with no nonzero imaginary part and complex128 otherwise.  With
+m = floor(n/2), a keep-set of m or more parties is formed by one batched
+matmul per stack.  A smaller keep-set R is read off its ancestor, R plus
+the m - |R| lowest parties missing from R, by tracing the added parties out
+one at a time, highest first: every party below the one traced is kept, so
+party j sits at row digit j.  `partial_trace` and `subset_purity` are
+stacks of one; `partial_trace` wraps its matrix in `DensityMatrix`, the
+validated container, which stores complex128 and whose `_validate` checks
+it (finite, Hermitian, unit trace, spectrum).  The deviation from I/dim and
+the projector residual of one matrix or a stack come from `_max_deviation`
+and `_max_projector_residual`.
+
+`weight_distribution` and `verification_sweep`, behind `ame verify`, read
+every rho_R with 1 <= |R| <= m from one sweep, `_small_side_stacks`: only
+the C(n, m) m-party reductions reach BLAS, and every smaller one is traced
+down from its ancestor along the same path `reduction_stacks` takes, so the
+two give the same matrix bit for bit.  `weight_distribution` reads the
+stacks unvalidated; `verification_sweep` runs `_validate` on each.  Both
+read the purities of the pair representatives, and so the weight traces,
 with the same table loop (`_purity_table`).  `k_uniformity` reads the
 stacks of every k-party keep-set and wraps each matrix in its own
 `DensityMatrix`, on the parties of the mask the stack yields with it.
@@ -117,7 +126,12 @@ class DensityMatrix:
 
 
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on `keep` (ascending order), complement summed out."""
+    """Reduced density matrix on `keep` (ascending order), complement summed out.
+
+    It is the matrix `reduction_stacks` yields for `keep`: below floor(n/2)
+    parties, traced down from the keep-set's ancestor, bit for bit the one
+    `weight_distribution` and `verification_sweep` read.
+    """
     sites = _validated_sites(state, keep)
     ((_, rho),) = reduction_stacks(state, [sum(1 << j for j in sites)])
     return DensityMatrix(parties=sites, d=state.d, entries=rho[0])
@@ -240,14 +254,12 @@ class WeightDistribution:
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only.
 
-    Only the pair representatives are reduced, unvalidated.
+    The reductions come from `_small_side_stacks`, unvalidated; the table
+    loop reads the pair representatives among them.
     """
     check_desk_scale(state.n, state.d)
-    n, reps = state.n, _pair_representatives(state.n)
-    keep_sets = (_masks_of_size(n, r) for r in range(1, n // 2 + 1))
-    stacks = (s for k in keep_sets for s in reduction_stacks(state, k[reps[k] == k]))
-    traces = _transform(_purity_table(state, stacks), state.d)
-    return WeightDistribution.from_masks(n, state.d, traces)
+    traces = _transform(_purity_table(state, _small_side_stacks(state)), state.d)
+    return WeightDistribution.from_masks(state.n, state.d, traces)
 
 
 # Entries of the largest amplitude or matrix stack `reduction_stacks` forms at
@@ -265,16 +277,24 @@ def reduction_stacks(
 
     `keeps` holds bitmasks (party j -> bit j) of one size r.  Yields (masks,
     rho): the next keep-sets in the order given and their (k, d^r, d^r)
-    reductions, kept sites in ascending order.  Each stack is one batched
-    matmul of (k, d^r, d^(n-r)) amplitude matrices; a caller that needs a
-    density matrix runs `_validate` on it.  Every reduction in `oracle` is
-    formed here.
+    reductions, kept sites in ascending order; a caller that needs a density
+    matrix runs `_validate` on it.  Every reduction in `oracle` is formed
+    here or traced down from one formed here.
+
+    A keep-set of r >= m = floor(n/2) parties is formed directly, a stack of
+    them by one batched matmul of (k, d^r, d^(n-r)) amplitude matrices.  One
+    of r < m parties is read off its ancestor (`_ancestor`), which is formed
+    that way, by tracing the added parties out one at a time, highest first
+    (`_trace_digit`).  That is the path `_small_side_stacks` takes to R, so
+    the two give the same matrix bit for bit.
 
     The stack's dtype follows the state's: a state with no nonzero imaginary
     part gives float64 reductions psi psi^T, any other state complex128 ones.
     """
-    n, d = state.n, state.d
-    rows = d ** int(keeps[0]).bit_count()
+    n, d, m = state.n, state.d, state.n // 2
+    r = int(keeps[0]).bit_count()
+    formed = [_ancestor(mask, m) for mask in map(int, keeps)] if r < m else keeps
+    rows = d ** int(formed[0]).bit_count()
     cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
     tensor = state.site_tensor()
@@ -288,10 +308,92 @@ def reduction_stacks(
         # stable sort on "traced out"
         kets = [
             tensor.transpose(sorted(range(n), key=lambda j: not mask >> j & 1))
-            for mask in map(int, chunk)
+            for mask in map(int, formed[start : start + size])
         ]
         psi = np.array(kets).reshape(len(chunk), rows, cols)
-        yield chunk, psi @ psi.conj().swapaxes(-1, -2)
+        rho = psi @ psi.conj().swapaxes(-1, -2)
+        if r < m:
+            rho = np.concatenate(
+                [
+                    _trace_parties(rho[i : i + 1], ancestor ^ int(mask), d)
+                    for i, (ancestor, mask) in enumerate(zip(formed[start:], chunk))
+                ]
+            )
+        yield chunk, rho
+
+
+def _ancestor(mask: int, m: int) -> int:
+    """`mask` plus the lowest parties it misses, up to m parties."""
+    while mask.bit_count() < m:
+        mask |= ~mask & (mask + 1)
+    return mask
+
+
+def _trace_digit(rho: np.ndarray, j: int, d: int) -> np.ndarray:
+    """Trace row digit j (0 the most significant) out of a (k, d^s, d^s) stack.
+
+    The d diagonal blocks are added in a fixed order, so the result does not
+    depend on which stack a matrix is traced in.
+    """
+    dim = rho.shape[-1]
+    hi, lo = d**j, dim // d ** (j + 1)
+    blocks = rho.reshape(len(rho), hi, d, lo, hi, d, lo)
+    out = blocks[:, :, 0, :, :, 0].copy()
+    for a in range(1, d):
+        out += blocks[:, :, a, :, :, a]
+    return out.reshape(len(rho), hi * lo, hi * lo)
+
+
+def _trace_parties(rho: np.ndarray, added: int, d: int) -> np.ndarray:
+    """Trace the parties of the mask `added` out of an ancestor stack, highest first.
+
+    Every party below the one traced is still kept, so party j sits at row digit j.
+    """
+    for j in reversed(range(added.bit_length())):
+        if added >> j & 1:
+            rho = _trace_digit(rho, j, d)
+    return rho
+
+
+def _descent(
+    masks: np.ndarray, rho: np.ndarray, d: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(masks, rho) and every nonempty reduction below it, one stack a level.
+
+    A keep-set holding parties 0..z-1 has the child with party j traced out
+    for every j < z; that child holds parties 0..j-1, so its own children
+    trace parties below j only.
+    """
+    while True:
+        yield masks, rho
+        if int(masks[0]).bit_count() == 1:
+            # the only child would be the empty reduction
+            return
+        children = []
+        for j in itertools.count():
+            low = (2 << j) - 1
+            held = (masks & low) == low
+            if not held.any():
+                break
+            children.append((masks[held] ^ (1 << j), _trace_digit(rho[held], j, d)))
+        if not children:
+            return
+        masks = np.concatenate([c for c, _ in children])
+        rho = np.concatenate([r for _, r in children])
+
+
+def _small_side_stacks(state: StateVector) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(masks, rho) stacks holding every rho_R with 1 <= |R| <= m = floor(n/2) once.
+
+    Only the m-party reductions are formed, by `reduction_stacks`; each
+    smaller R is traced down from its ancestor `_ancestor(R, m)` along the
+    path `reduction_stacks` takes.  One m-party stack is traced down at a
+    time, a level at a time, so no more than two levels of it are held.
+    """
+    m = state.n // 2
+    if m:
+        for masks, rho in reduction_stacks(state, _masks_of_size(state.n, m)):
+            yield from _descent(masks, rho, state.d)
 
 
 class UniformityReport(NamedTuple):
@@ -344,26 +446,25 @@ def projector_property_residual(state: StateVector, keep: Iterable[int]) -> floa
 def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribution]:
     """(k-uniformity deviation, projector residual, weight traces) from one sweep.
 
-    Each reduction rho_R with 1 <= |R| <= floor(n/2) is formed and validated
-    once, a stack of them at a time.  A stack gives the projector residual of
-    the complementary keep-sets, at |R| = floor(n/2) the k-uniformity
-    deviation, and the purity of every R that represents its pair {R, Rbar},
-    read by the `_purity_table` loop of `weight_distribution`, from which the
-    weight traces follow by the same transform.
+    Each reduction rho_R with 1 <= |R| <= floor(n/2) comes once from
+    `_small_side_stacks` and is validated, a stack at a time.  A stack gives
+    the projector residual of the complementary keep-sets, at |R| = floor(n/2)
+    the k-uniformity deviation, and the purity of every R that represents its
+    pair {R, Rbar}, read by the `_purity_table` loop of `weight_distribution`,
+    from which the weight traces follow by the same transform.
     """
-    n, m = state.n, state.n // 2
+    n, top = state.n, state.d ** (state.n // 2)
     # keeping all n parties traces out nothing: its residual is a scalar
     dev, proj = 0.0, projector_property_residual(state, range(n))
 
     def validated():
         nonlocal dev, proj
-        for r in range(1, m + 1):
-            for masks, rho in reduction_stacks(state, _masks_of_size(n, r)):
-                _validate(rho)
-                proj = max(proj, _max_projector_residual(rho))
-                if r == m:
-                    dev = max(dev, _max_deviation(rho))
-                yield masks, rho
+        for masks, rho in _small_side_stacks(state):
+            _validate(rho)
+            proj = max(proj, _max_projector_residual(rho))
+            if rho.shape[-1] == top:
+                dev = max(dev, _max_deviation(rho))
+            yield masks, rho
 
     traces = _transform(_purity_table(state, validated()), state.d)
     return dev, proj, WeightDistribution.from_masks(n, state.d, traces)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ame.oracle import (
     ring5,
     subset_purity,
     weight_distribution,
+    weight_distribution_basis,
 )
 from ame.oracle import weights
 
@@ -319,9 +321,11 @@ def test_one_purity_per_complementary_pair(monkeypatch, state):
 
     monkeypatch.setattr(weights, "reduction_stacks", counting)
     weight_distribution(state)
-    # the smaller side of each pair {T, Tbar}, the lower mask at |T| = n/2
-    reps = {min(t, full ^ t, key=lambda k: (k.bit_count(), k)) for t in range(1, full)}
-    assert sorted(formed) == sorted(reps)
+    # only the floor(n/2)-party reductions are formed, each once; every
+    # smaller one, and so every pair's small side, is traced down from them
+    m = n // 2
+    tier = [t for t in range(1, full) if t.bit_count() == m]
+    assert sorted(formed) == tier
     assert len(formed) <= 2 ** (n - 1)
 
 
@@ -457,3 +461,60 @@ def test_per_subset_is_the_mask_table_in_support_order(state):
     want = _per_subset_by_mask(state)
     assert list(got) == list(want)
     assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
+# --- the small-side sweep: the floor(n/2)-party tier, traced down
+
+
+def _tensordot_reduction(state, R):
+    """rho_R as psi psi^dag contracted over the traced-out site axes."""
+    t = state.site_tensor()
+    traced = [j for j in range(state.n) if j not in R]
+    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
+    return rho.reshape(state.d ** len(R), state.d ** len(R))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_small_side_sweep_yields_each_keep_set_once(n, d):
+    state = _random_state(n, d, 100 + 10 * n + d)
+    swept = {}
+    for masks, rho in weights._small_side_stacks(state):
+        for mask, matrix in zip(masks.tolist(), rho):
+            assert mask not in swept, mask
+            swept[mask] = matrix
+    keeps = [R for r in range(1, n // 2 + 1) for R in itertools.combinations(range(n), r)]
+    assert sorted(swept) == sorted(sum(1 << j for j in R) for R in keeps)
+    for R in keeps:
+        rho = swept[sum(1 << j for j in R)]
+        assert np.abs(rho - _tensordot_reduction(state, R)).max() <= 1e-14, R
+        assert partial_trace(state, R).entries.tobytes() == rho.tobytes(), R
+
+
+def test_weight_distribution_peak_stays_below_two_mib():
+    # the six-party tier of a 13-qubit state is 1716 64x64 matrices, 56 MiB
+    # held at once; the sweep holds one stack per level
+    state = _graph_state(13, 23)
+    # the first call caches the support and pair tables of 13 parties
+    weight_distribution(state)
+    tracemalloc.start()
+    try:
+        weight_distribution(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_one_party_state_has_no_tier_and_all_routes_agree():
+    # floor(1/2) = 0: nothing is reduced, and the one purity is that of the
+    # empty reduction's pair
+    state = _random_state(1, 3, 7)
+    dev, proj, swept = weights.verification_sweep(state)
+    purity = weight_distribution(state).per_subset
+    basis = weight_distribution_basis(state).per_subset
+    assert dev == 0.0 and proj <= 1e-15
+    assert list(purity) == list(swept.per_subset) == list(basis) == [(0,)]
+    assert purity == swept.per_subset
+    assert purity[(0,)] == pytest.approx(basis[(0,)], rel=1e-12)
+    assert purity[(0,)] == pytest.approx(state.d * (state.d - 1), rel=1e-12)
