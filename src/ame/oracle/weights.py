@@ -12,9 +12,11 @@ the two must agree on every state to 1e-9, relative to the value once it
 exceeds 1.  Reductions stay on the Schmidt side (<= d^floor(n/2) a side):
 a pure state gives T and Tbar the same purity, so every purity, the
 transform's and `subset_purity`'s alike, is read off the one reduction that
-`_pair_representatives` picks for the pair {T, Tbar}.  Supports and pairs
-are bitmask arrays over all 2^n masks (`_supports`, `_pair_representatives`),
-shared by both weight routes, `subset_purity` and `verification_sweep`.  The
+`_pair_representatives` picks for the pair {T, Tbar}: the smaller side, and
+at |T| = n/2 the side holding party 0.  Both read it with `_purities`, one
+batched dot a stack.  Supports and pairs are bitmask arrays over all 2^n
+masks (`_supports`, `_pair_representatives`), shared by both weight routes,
+`subset_purity` and `verification_sweep`.  The
 projector residual of a large reduction rho_A is read off its small
 complement rho_R in Frobenius norm: with psi the (A, R) amplitudes and
 G = psi^dag psi = rho_R^T,
@@ -36,14 +38,19 @@ and `_max_projector_residual`.
 
 `weight_distribution` and `verification_sweep`, behind `ame verify`, read
 every rho_R with 1 <= |R| <= m from one sweep, `_small_side_stacks`: only
-the C(n, m) m-party reductions reach BLAS, and every smaller one is traced
-down from its ancestor along the same path `reduction_stacks` takes, so the
-two give the same matrix bit for bit.  `weight_distribution` reads the
-stacks unvalidated; `verification_sweep` runs `_validate` on each.  Both
-read the purities of the pair representatives, and so the weight traces,
-with the same table loop (`_purity_table`).  `k_uniformity` reads the
-stacks of every k-party keep-set and wraps each matrix in its own
-`DensityMatrix`, on the parties of the mask the stack yields with it.
+m-party reductions reach BLAS, and every smaller one is traced down from
+its ancestor along the same path `reduction_stacks` takes, so the two give
+the same matrix bit for bit.  Every ancestor holds party 0, and at even n
+so does every m-party pair representative, so the m-party representatives
+hold every ancestor; `weight_distribution` forms only those, C(n-1, m-1) at
+even n and all C(n, m) at odd n, and reads them unvalidated.
+`verification_sweep` forms the whole tier, whose every m-set gives a
+k-uniformity deviation and a projector residual, and runs `_validate` on
+each stack.  Both fill the purity table (`_purity_table`)
+from the representatives in each stack, one `_purities` call a stack.
+`k_uniformity` reads the stacks of every k-party keep-set, wraps each
+matrix in its own `DensityMatrix`, on the parties of the mask the stack
+yields with it, and reads the deviation from I/dim once a stack.
 """
 
 from __future__ import annotations
@@ -143,21 +150,35 @@ def _empty_purity(state: StateVector) -> float:
     return norm_sq * norm_sq
 
 
+def _purities(rho: np.ndarray) -> np.ndarray:
+    """tr(rho^2) = sum |rho_ij|^2 of each Hermitian matrix in a (k, D, D) stack.
+
+    One batched dot of each matrix's entries with themselves, a complex stack
+    read as its float64 (re, im) pairs.  Each matrix is summed on its own, so
+    its value does not depend on the stack it is read in.
+    """
+    flat = rho.reshape(len(rho), rho.shape[-2] * rho.shape[-1])
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return (flat[:, None, :] @ flat[:, :, None])[:, 0, 0]
+
+
 def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
     """tr(rho_S^2) for the reduction onto `sites`; the empty reduction gives 1.
 
     A pure state carries equal Schmidt spectra on the two sides of any
     bipartition, so the reduction formed is the pair representative of
     `sites` (`_pair_representatives`): the smaller side, and at |S| = n/2 the
-    lower mask, the same one the purity table reads.  The value is therefore
-    the same for `sites` and its complement, bit for bit.
+    side holding party 0, the same one the purity table reads, with the same
+    `_purities`.  The value is therefore the same for `sites` and its
+    complement, and the same as the table's, bit for bit.
     """
     S = _validated_sites(state, sites, allow_empty=True)
     mask = int(_pair_representatives(state.n)[sum(1 << j for j in S)])
     if not mask:
         return _empty_purity(state)
     ((_, rho),) = reduction_stacks(state, [mask])
-    return float(np.vdot(rho, rho).real)
+    return float(_purities(rho)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,12 +207,13 @@ def bit_counts(n: int) -> np.ndarray:
 def _pair_representatives(n: int) -> np.ndarray:
     """For every mask T, the mask whose reduction gives tr(rho_T^2) = tr(rho_Tbar^2).
 
-    That is the pair's smaller side, and at |T| = n/2 the lower of the two masks.
+    That is the pair's smaller side, and at |T| = n/2 the side holding party 0,
+    the side every ancestor (`_ancestor`) is on, so every keep-set the sweep
+    traces down from is a representative.
     """
     masks = np.arange(2**n)
     twice = 2 * bit_counts(n)
-    complements = masks ^ (2**n - 1)
-    out = np.where((twice < n) | ((twice == n) & (masks < complements)), masks, complements)
+    out = np.where((twice < n) | ((twice == n) & ((masks & 1) == 1)), masks, masks ^ (2**n - 1))
     out.flags.writeable = False
     return out
 
@@ -207,14 +229,16 @@ def _purity_table(state: StateVector, stacks: Iterable[tuple[np.ndarray, ...]]) 
     nonempty pair representative.
 
     A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each pair's purity is
-    read once, off its representative, and serves both masks.
+    read once, off its representative, and serves both masks.  Each stack's
+    purities come from one `_purities` call; those of masks that represent no
+    pair (half of the n/2-party tier `verification_sweep` forms) are dropped.
     """
     reps = _pair_representatives(state.n)
     purities = np.empty(2**state.n)
     purities[0] = _empty_purity(state)
     for masks, rho in stacks:
-        for i in np.flatnonzero(reps[masks] == masks):
-            purities[masks[i]] = np.vdot(rho[i], rho[i]).real
+        held = reps[masks] == masks
+        purities[masks[held]] = _purities(rho)[held]
     return purities[reps]
 
 
@@ -254,11 +278,12 @@ class WeightDistribution:
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only.
 
-    The reductions come from `_small_side_stacks`, unvalidated; the table
-    loop reads the pair representatives among them.
+    The reductions come from `_small_side_stacks`, unvalidated, with only the
+    floor(n/2)-party pair representatives formed: every reduction it yields
+    represents its pair, and `_purity_table` reads them all.
     """
     check_desk_scale(state.n, state.d)
-    traces = _transform(_purity_table(state, _small_side_stacks(state)), state.d)
+    traces = _transform(_purity_table(state, _small_side_stacks(state, pairs_only=True)), state.d)
     return WeightDistribution.from_masks(state.n, state.d, traces)
 
 
@@ -293,7 +318,7 @@ def reduction_stacks(
     """
     n, d, m = state.n, state.d, state.n // 2
     r = int(keeps[0]).bit_count()
-    formed = [_ancestor(mask, m) for mask in map(int, keeps)] if r < m else keeps
+    formed = np.asarray([_ancestor(mask, m) for mask in map(int, keeps)] if r < m else keeps)
     rows = d ** int(formed[0]).bit_count()
     cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
@@ -304,19 +329,18 @@ def reduction_stacks(
         tensor = np.ascontiguousarray(tensor.real)
     for start in range(0, len(keeps), size):
         chunk = keeps[start : start + size]
+        ancestors = formed[start : start + size]
         # kept parties first, then traced-out ones, each group ascending: a
-        # stable sort on "traced out"
-        kets = [
-            tensor.transpose(sorted(range(n), key=lambda j: not mask >> j & 1))
-            for mask in map(int, formed[start : start + size])
-        ]
-        psi = np.array(kets).reshape(len(chunk), rows, cols)
+        # stable sort of each row of "traced out" bits
+        traced = (ancestors[:, None] >> np.arange(n) & 1) == 0
+        orders = np.argsort(traced, axis=1, kind="stable").tolist()
+        psi = np.array([tensor.transpose(o) for o in orders]).reshape(len(chunk), rows, cols)
         rho = psi @ psi.conj().swapaxes(-1, -2)
         if r < m:
             rho = np.concatenate(
                 [
                     _trace_parties(rho[i : i + 1], ancestor ^ int(mask), d)
-                    for i, (ancestor, mask) in enumerate(zip(formed[start:], chunk))
+                    for i, (ancestor, mask) in enumerate(zip(ancestors.tolist(), chunk))
                 ]
             )
         yield chunk, rho
@@ -382,17 +406,25 @@ def _descent(
         rho = np.concatenate([r for _, r in children])
 
 
-def _small_side_stacks(state: StateVector) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _small_side_stacks(
+    state: StateVector, pairs_only: bool = False
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(masks, rho) stacks holding every rho_R with 1 <= |R| <= m = floor(n/2) once.
 
-    Only the m-party reductions are formed, by `reduction_stacks`; each
-    smaller R is traced down from its ancestor `_ancestor(R, m)` along the
-    path `reduction_stacks` takes.  One m-party stack is traced down at a
-    time, a level at a time, so no more than two levels of it are held.
+    Only m-party reductions are formed, by `reduction_stacks`; each smaller R
+    is traced down from its ancestor `_ancestor(R, m)` along the path
+    `reduction_stacks` takes.  One m-party stack is traced down at a time, a
+    level at a time, so no more than two levels of it are held.  With
+    `pairs_only` the m-party keep-sets formed are the pair representatives
+    alone (at even n the C(n-1, m-1) holding party 0, the ancestors of every
+    smaller R), and every other m-party reduction is left out.
     """
-    m = state.n // 2
+    n, m = state.n, state.n // 2
+    tier = _masks_of_size(n, m)
+    if pairs_only:
+        tier = tier[_pair_representatives(n)[tier] == tier]
     if m:
-        for masks, rho in reduction_stacks(state, _masks_of_size(state.n, m)):
+        for masks, rho in reduction_stacks(state, tier):
             yield from _descent(masks, rho, state.d)
 
 
@@ -409,16 +441,18 @@ def k_uniformity(state: StateVector, k: int) -> UniformityReport:
 
     The reductions come from one `reduction_stacks` call over every k-party
     keep-set, and each is validated as its own `DensityMatrix`, whose parties
-    are read off the mask the stack yields with the matrix.
+    are read off the mask the stack yields with the matrix.  The deviation is
+    read once a stack, off the stack itself: its maximum over the stack is
+    the maximum over each `DensityMatrix`'s entries, bit for bit.
     """
     if not 1 <= k <= state.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
     n, d = state.n, state.d
-    worst = max(
-        _max_deviation(DensityMatrix(tuple(j for j in range(n) if mask >> j & 1), d, rho).entries)
-        for masks, stack in reduction_stacks(state, _masks_of_size(n, k))
-        for mask, rho in zip(masks, stack)
-    )
+    worst = 0.0
+    for masks, stack in reduction_stacks(state, _masks_of_size(n, k)):
+        for mask, rho in zip(masks.tolist(), stack):
+            DensityMatrix(tuple(j for j in range(n) if mask >> j & 1), d, rho)
+        worst = max(worst, _max_deviation(stack))
     return UniformityReport(worst <= UNIFORMITY_TOL, worst)
 
 
@@ -447,11 +481,12 @@ def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribu
     """(k-uniformity deviation, projector residual, weight traces) from one sweep.
 
     Each reduction rho_R with 1 <= |R| <= floor(n/2) comes once from
-    `_small_side_stacks` and is validated, a stack at a time.  A stack gives
-    the projector residual of the complementary keep-sets, at |R| = floor(n/2)
-    the k-uniformity deviation, and the purity of every R that represents its
-    pair {R, Rbar}, read by the `_purity_table` loop of `weight_distribution`,
-    from which the weight traces follow by the same transform.
+    `_small_side_stacks`, the whole floor(n/2)-party tier included, and is
+    validated, a stack at a time.  A stack gives the projector residual of the
+    complementary keep-sets, at |R| = floor(n/2) the k-uniformity deviation,
+    and the purity of every R that represents its pair {R, Rbar}, read by the
+    `_purity_table` of `weight_distribution`, from which the weight traces
+    follow by the same transform.
     """
     n, top = state.n, state.d ** (state.n // 2)
     # keeping all n parties traces out nothing: its residual is a scalar

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -321,10 +322,11 @@ def test_one_purity_per_complementary_pair(monkeypatch, state):
 
     monkeypatch.setattr(weights, "reduction_stacks", counting)
     weight_distribution(state)
-    # only the floor(n/2)-party reductions are formed, each once; every
-    # smaller one, and so every pair's small side, is traced down from them
+    # only the floor(n/2)-party pair representatives are formed, each once:
+    # every keep-set at odd n, those holding party 0 at even n; every smaller
+    # one, and so every pair's small side, is traced down from them
     m = n // 2
-    tier = [t for t in range(1, full) if t.bit_count() == m]
+    tier = [t for t in range(1, full) if t.bit_count() == m and (2 * m < n or t & 1)]
     assert sorted(formed) == tier
     assert len(formed) <= 2 ** (n - 1)
 
@@ -427,8 +429,9 @@ def test_reduction_stacks_equal_an_einsum_partial_trace(monkeypatch, state, entr
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_pair_representatives_are_the_smaller_side(n):
+    # at |T| = n/2 the representative is the side holding party 0
     full = 2**n - 1
-    want = [min(t, full ^ t, key=lambda k: (k.bit_count(), k)) for t in range(2**n)]
+    want = [min(t, full ^ t, key=lambda k: (k.bit_count(), not k & 1)) for t in range(2**n)]
     assert weights._pair_representatives(n).tolist() == want
 
 
@@ -518,3 +521,112 @@ def test_one_party_state_has_no_tier_and_all_routes_agree():
     assert purity == swept.per_subset
     assert purity[(0,)] == pytest.approx(basis[(0,)], rel=1e-12)
     assert purity[(0,)] == pytest.approx(state.d * (state.d - 1), rel=1e-12)
+
+
+# --- which reductions each route forms, and the per-stack reads
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_each_route_forms_its_tier_once(monkeypatch, n, d):
+    # verify needs every m-set for its deviation and residual; the purity
+    # route needs only the m-party pair representatives, whose descendants
+    # are every smaller pair representative
+    state = _random_state(n, d, 200 + 10 * n + d)
+    m = n // 2
+    formed = []
+    reduction_stacks = weights.reduction_stacks
+
+    def counting(reduced, keeps):
+        formed.extend(np.asarray(keeps).tolist())
+        return reduction_stacks(reduced, keeps)
+
+    monkeypatch.setattr(weights, "reduction_stacks", counting)
+    weights.verification_sweep(state)
+    assert sorted(formed) == [t for t in range(2**n) if t.bit_count() == m]
+    assert len(formed) == math.comb(n, m)
+    formed.clear()
+    weight_distribution(state)
+    assert sorted(formed) == [t for t in range(2**n) if t.bit_count() == m and (n % 2 or t & 1)]
+    assert len(formed) == (math.comb(n, m) if n % 2 else math.comb(n - 1, m - 1))
+
+
+def _real_haar_state(n, d, seed):
+    v = np.random.default_rng(seed).normal(size=d**n)
+    return StateVector(n, d, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n, d", [(6, 2), (7, 2), (4, 3), (5, 3)])
+def test_stacked_purities_equal_one_vdot_per_matrix(n, d, real):
+    state = (_real_haar_state if real else _random_state)(n, d, 300 + 10 * n + d)
+    for r in range(1, n):
+        for _, rho in weights.reduction_stacks(state, weights._masks_of_size(n, r)):
+            assert rho.dtype == (np.float64 if real else np.complex128)
+            got = weights._purities(rho)
+            want = np.array([np.vdot(matrix, matrix).real for matrix in rho])
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 1e-15 * want).all(), r
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_stacked_purities_of_an_empty_stack_are_empty(dtype):
+    for dim in (1, 8):
+        assert weights._purities(np.zeros((0, dim, dim), dtype=dtype)).shape == (0,)
+
+
+SHARED_READ_STATES = {
+    "haar6": _random_state(6, 2, 81),
+    "haar7": _random_state(7, 2, 82),
+    "real-haar6": _real_haar_state(6, 2, 83),
+    "haar4-qutrit": _random_state(4, 3, 84),
+    "graph8": _graph_state(8, 85),
+}
+
+
+@pytest.mark.parametrize("state", SHARED_READ_STATES.values(), ids=SHARED_READ_STATES.keys())
+def test_subset_purity_is_the_table_entry(monkeypatch, state):
+    # both read a pair's purity off its representative with the same stacked
+    # dot, so they agree exactly on every mask, the n/2 ties included
+    n = state.n
+    tables = []
+    purity_table = weights._purity_table
+
+    def capturing(*args):
+        table = purity_table(*args)
+        tables.append(table.copy())
+        return table
+
+    monkeypatch.setattr(weights, "_purity_table", capturing)
+    weight_distribution(state)
+    (table,) = tables
+    for mask, value in enumerate(table.tolist()):
+        assert subset_purity(state, [j for j in range(n) if mask >> j & 1]) == value, mask
+
+
+def _qutrit_graph_state():
+    edges = [(0, 1), (1, 2, 2), (2, 3), (3, 4, 2), (0, 4), (0, 2, 2)]
+    return graph_state(GraphSpec.from_edges(5, 3, edges))
+
+
+@pytest.mark.parametrize(
+    "state, k",
+    [
+        (ghz(10, 2), 5),
+        (_qutrit_graph_state(), 2),
+        (_qutrit_graph_state(), 3),
+        (_random_state(6, 2, 91), 2),
+        (_random_state(6, 2, 91), 3),
+        (_random_state(6, 2, 91), 4),
+    ],
+    ids=["ghz10-k5", "qutrit-graph5-k2", "qutrit-graph5-k3", "haar6-k2", "haar6-k3", "haar6-k4"],
+)
+def test_k_uniformity_deviation_is_the_per_matrix_maximum(state, k):
+    # the deviation read once a stack equals the maximum over each keep-set's
+    # own DensityMatrix, bit for bit
+    n, d, dim = state.n, state.d, state.d**k
+    want = 0.0
+    for R in itertools.combinations(range(n), k):
+        entries = DensityMatrix(R, d, partial_trace(state, R).entries).entries
+        want = max(want, float(np.abs(entries - np.eye(dim) / dim).max()))
+    assert k_uniformity(state, k).max_deviation == want
