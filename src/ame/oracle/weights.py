@@ -22,35 +22,36 @@ complement rho_R in Frobenius norm: with psi the (A, R) amplitudes and
 G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
 
-Every reduction is formed in `reduction_stacks`, for the keep-sets it is
-given, with no validation; the stack's dtype follows the state's, float64
-for a state with no nonzero imaginary part and complex128 otherwise.  With
-m = floor(n/2), a keep-set of m or more parties is formed by one batched
-matmul per stack.  A smaller keep-set R is read off its ancestor, R plus
-the m - |R| lowest parties missing from R, by tracing the added parties out
-one at a time, highest first: every party below the one traced is kept, so
-party j sits at row digit j.  `partial_trace` and `subset_purity` are
-stacks of one; `partial_trace` wraps its matrix in `DensityMatrix`, the
+Every reduction is formed in `reduction_stacks` or traced down from one
+formed there, with no validation; the stack's dtype follows the state's,
+float64 for a state with no nonzero imaginary part and complex128 otherwise.
+With m = floor(n/2), a keep-set of m or more parties is formed by one
+batched matmul per stack.  A smaller keep-set R has one source: its parent,
+R plus its lowest missing party j, which holds parties 0..j, so tracing
+party j out (`_trace_digit`) leaves every kept party at its own row digit.
+`_small_side_stacks` marks the parents of the keep-sets it is asked for, up
+to m parties, forms the marked m-party reductions and walks them down along
+marked children (`_descent`); `reduction_stacks` hands every keep-set below
+m to that walk, so `partial_trace`, `subset_purity` and `k_uniformity` read
+the same matrices as the sweep.  `partial_trace` and `subset_purity` ask
+for one keep-set; `partial_trace` wraps its matrix in `DensityMatrix`, the
 validated container, which stores complex128 and whose `_validate` checks
 it (finite, Hermitian, unit trace, spectrum).  The deviation from I/dim and
 the projector residual of one matrix or a stack come from `_max_deviation`
 and `_max_projector_residual`.
 
 `weight_distribution` and `verification_sweep`, behind `ame verify`, read
-every rho_R with 1 <= |R| <= m from one sweep, `_small_side_stacks`: only
-m-party reductions reach BLAS, and every smaller one is traced down from
-its ancestor along the same path `reduction_stacks` takes, so the two give
-the same matrix bit for bit.  Every ancestor holds party 0, and at even n
-so does every m-party pair representative, so the m-party representatives
-hold every ancestor; `weight_distribution` forms only those, C(n-1, m-1) at
-even n and all C(n, m) at odd n, and reads them unvalidated.
-`verification_sweep` forms the whole tier, whose every m-set gives a
-k-uniformity deviation and a projector residual, and runs `_validate` on
-each stack.  Both fill the purity table (`_purity_table`)
-from the representatives in each stack, one `_purities` call a stack.
-`k_uniformity` reads the stacks of every k-party keep-set, wraps each
-matrix in its own `DensityMatrix`, on the parties of the mask the stack
-yields with it, and reads the deviation from I/dim once a stack.
+their reductions from `_small_side_stacks`.  Every parent holds party 0, and
+at even n so does every m-party pair representative, so the table of pair
+representatives marks no other keep-set: `weight_distribution` forms C(n-1,
+m-1) m-party reductions at even n and all C(n, m) at odd n, and reads them
+unvalidated.  `verification_sweep` asks for every keep-set of at most m
+parties, since every m-set gives a k-uniformity deviation and a projector
+residual, and runs `_validate` on each stack.  Both fill the purity table
+(`_purity_table`) from the representatives in each stack, one `_purities`
+call a stack.  `k_uniformity` reads the stacks of every k-party keep-set,
+wraps each matrix in its own `DensityMatrix`, on the parties of the mask the
+stack yields with it, and reads the deviation from I/dim once a stack.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on `keep` (ascending order), complement summed out.
 
     It is the matrix `reduction_stacks` yields for `keep`: below floor(n/2)
-    parties, traced down from the keep-set's ancestor, bit for bit the one
+    parties, traced down from its parents by `_descent`, bit for bit the one
     `weight_distribution` and `verification_sweep` read.
     """
     sites = _validated_sites(state, keep)
@@ -208,8 +209,8 @@ def _pair_representatives(n: int) -> np.ndarray:
     """For every mask T, the mask whose reduction gives tr(rho_T^2) = tr(rho_Tbar^2).
 
     That is the pair's smaller side, and at |T| = n/2 the side holding party 0,
-    the side every ancestor (`_ancestor`) is on, so every keep-set the sweep
-    traces down from is a representative.
+    the side every parent in `_small_side_stacks` is on, so the parents of a
+    representative are representatives.
     """
     masks = np.arange(2**n)
     twice = 2 * bit_counts(n)
@@ -278,13 +279,14 @@ class WeightDistribution:
 def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only.
 
-    The reductions come from `_small_side_stacks`, unvalidated, with only the
-    floor(n/2)-party pair representatives formed: every reduction it yields
-    represents its pair, and `_purity_table` reads them all.
+    The reductions come from `_small_side_stacks`, unvalidated, given the
+    table of pair representatives: every reduction it yields represents its
+    pair, and `_purity_table` reads them all.
     """
-    check_desk_scale(state.n, state.d)
-    traces = _transform(_purity_table(state, _small_side_stacks(state, pairs_only=True)), state.d)
-    return WeightDistribution.from_masks(state.n, state.d, traces)
+    n, d = state.n, state.d
+    check_desk_scale(n, d)
+    stacks = _small_side_stacks(state, _pair_representatives(n) == np.arange(2**n))
+    return WeightDistribution.from_masks(n, d, _transform(_purity_table(state, stacks), d))
 
 
 # Entries of the largest amplitude or matrix stack `reduction_stacks` forms at
@@ -301,25 +303,28 @@ def reduction_stacks(
     """Reductions rho_R of the keep-sets R in `keeps`, a stack at a time, unvalidated.
 
     `keeps` holds bitmasks (party j -> bit j) of one size r.  Yields (masks,
-    rho): the next keep-sets in the order given and their (k, d^r, d^r)
-    reductions, kept sites in ascending order; a caller that needs a density
+    rho): keep-sets and their (k, d^r, d^r) reductions, kept sites in
+    ascending order, each keep-set once; a caller that needs a density
     matrix runs `_validate` on it.  Every reduction in `oracle` is formed
-    here or traced down from one formed here.
+    here or by `_descent` from one formed here.
 
-    A keep-set of r >= m = floor(n/2) parties is formed directly, a stack of
-    them by one batched matmul of (k, d^r, d^(n-r)) amplitude matrices.  One
-    of r < m parties is read off its ancestor (`_ancestor`), which is formed
-    that way, by tracing the added parties out one at a time, highest first
-    (`_trace_digit`).  That is the path `_small_side_stacks` takes to R, so
-    the two give the same matrix bit for bit.
+    A keep-set of r >= m = floor(n/2) parties is formed directly, in the
+    order given, a stack of them by one batched matmul of (k, d^r, d^(n-r))
+    amplitude matrices.  Below m the keep-sets come in the order of the
+    `_small_side_stacks` walk that reaches them, as the level-r stacks of
+    that walk, so every caller reads the sweep's own matrices.
 
     The stack's dtype follows the state's: a state with no nonzero imaginary
     part gives float64 reductions psi psi^T, any other state complex128 ones.
     """
     n, d, m = state.n, state.d, state.n // 2
+    keeps = np.asarray(keeps)
     r = int(keeps[0]).bit_count()
-    formed = np.asarray([_ancestor(mask, m) for mask in map(int, keeps)] if r < m else keeps)
-    rows = d ** int(formed[0]).bit_count()
+    if r < m:
+        need = np.bincount(keeps, minlength=2**n) > 0
+        yield from (s for s in _small_side_stacks(state, need) if s[1].shape[-1] == d**r)
+        return
+    rows = d**r
     cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
     tensor = state.site_tensor()
@@ -329,28 +334,12 @@ def reduction_stacks(
         tensor = np.ascontiguousarray(tensor.real)
     for start in range(0, len(keeps), size):
         chunk = keeps[start : start + size]
-        ancestors = formed[start : start + size]
         # kept parties first, then traced-out ones, each group ascending: a
         # stable sort of each row of "traced out" bits
-        traced = (ancestors[:, None] >> np.arange(n) & 1) == 0
+        traced = (chunk[:, None] >> np.arange(n) & 1) == 0
         orders = np.argsort(traced, axis=1, kind="stable").tolist()
         psi = np.array([tensor.transpose(o) for o in orders]).reshape(len(chunk), rows, cols)
-        rho = psi @ psi.conj().swapaxes(-1, -2)
-        if r < m:
-            rho = np.concatenate(
-                [
-                    _trace_parties(rho[i : i + 1], ancestor ^ int(mask), d)
-                    for i, (ancestor, mask) in enumerate(zip(ancestors.tolist(), chunk))
-                ]
-            )
-        yield chunk, rho
-
-
-def _ancestor(mask: int, m: int) -> int:
-    """`mask` plus the lowest parties it misses, up to m parties."""
-    while mask.bit_count() < m:
-        mask |= ~mask & (mask + 1)
-    return mask
+        yield chunk, psi @ psi.conj().swapaxes(-1, -2)
 
 
 def _trace_digit(rho: np.ndarray, j: int, d: int) -> np.ndarray:
@@ -368,25 +357,14 @@ def _trace_digit(rho: np.ndarray, j: int, d: int) -> np.ndarray:
     return out.reshape(len(rho), hi * lo, hi * lo)
 
 
-def _trace_parties(rho: np.ndarray, added: int, d: int) -> np.ndarray:
-    """Trace the parties of the mask `added` out of an ancestor stack, highest first.
-
-    Every party below the one traced is still kept, so party j sits at row digit j.
-    """
-    for j in reversed(range(added.bit_length())):
-        if added >> j & 1:
-            rho = _trace_digit(rho, j, d)
-    return rho
-
-
 def _descent(
-    masks: np.ndarray, rho: np.ndarray, d: int
+    masks: np.ndarray, rho: np.ndarray, d: int, marked: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(masks, rho) and every nonempty reduction below it, one stack a level.
+    """(masks, rho) and every marked reduction below it, one stack a level.
 
     A keep-set holding parties 0..z-1 has the child with party j traced out
-    for every j < z; that child holds parties 0..j-1, so its own children
-    trace parties below j only.
+    for every j < z, formed when `marked` holds it; that child holds parties
+    0..j-1, so its own children trace parties below j only.
     """
     while True:
         yield masks, rho
@@ -394,12 +372,12 @@ def _descent(
             # the only child would be the empty reduction
             return
         children = []
-        for j in itertools.count():
-            low = (2 << j) - 1
-            held = (masks & low) == low
-            if not held.any():
-                break
-            children.append((masks[held] ^ (1 << j), _trace_digit(rho[held], j, d)))
+        # the bit of the lowest party each keep-set misses: it holds all below
+        missing = ~masks & (masks + 1)
+        for j in range(int(missing.max()).bit_length() - 1):
+            held = (missing > 1 << j) & marked[masks ^ (1 << j)]
+            if held.any():
+                children.append((masks[held] ^ (1 << j), _trace_digit(rho[held], j, d)))
         if not children:
             return
         masks = np.concatenate([c for c, _ in children])
@@ -407,25 +385,36 @@ def _descent(
 
 
 def _small_side_stacks(
-    state: StateVector, pairs_only: bool = False
+    state: StateVector, need: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(masks, rho) stacks holding every rho_R with 1 <= |R| <= m = floor(n/2) once.
+    """(masks, rho) stacks holding every rho_R that `need` marks, and the
+    parents it is traced down from, each once.
 
-    Only m-party reductions are formed, by `reduction_stacks`; each smaller R
-    is traced down from its ancestor `_ancestor(R, m)` along the path
-    `reduction_stacks` takes.  One m-party stack is traced down at a time, a
-    level at a time, so no more than two levels of it are held.  With
-    `pairs_only` the m-party keep-sets formed are the pair representatives
-    alone (at even n the C(n-1, m-1) holding party 0, the ancestors of every
-    smaller R), and every other m-party reduction is left out.
+    `need` is a boolean table over all 2^n masks; the empty mask is never
+    formed, nor any of more than m = floor(n/2) parties.  Each R below m is
+    traced down from its parent, R plus its lowest missing party j, which
+    holds parties 0..j and so keeps R's parties at the same row digits; the
+    parents are marked in turn up to m parties.  Only the marked m-party
+    reductions are formed, by `reduction_stacks`, and `_descent` walks each
+    stack of them along marked children only, a level at a time, so no more
+    than two levels of it are held.  Every parent holds party 0, so a table
+    of pair representatives marks no other keep-set.
     """
     n, m = state.n, state.n // 2
+    counts = bit_counts(n)
+    marked = need & (counts > 0)
+    below = np.flatnonzero(marked & (counts < m))
+    while below.size:
+        below |= below + 1
+        # a parent marked already is, or was, in the frontier itself
+        below = below[~marked[below]]
+        marked[below] = True
+        below = below[counts[below] < m]
     tier = _masks_of_size(n, m)
-    if pairs_only:
-        tier = tier[_pair_representatives(n)[tier] == tier]
-    if m:
+    tier = tier[marked[tier]]
+    if tier.size:
         for masks, rho in reduction_stacks(state, tier):
-            yield from _descent(masks, rho, state.d)
+            yield from _descent(masks, rho, state.d, marked)
 
 
 class UniformityReport(NamedTuple):
@@ -494,7 +483,7 @@ def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribu
 
     def validated():
         nonlocal dev, proj
-        for masks, rho in _small_side_stacks(state):
+        for masks, rho in _small_side_stacks(state, bit_counts(n) <= n // 2):
             _validate(rho)
             proj = max(proj, _max_projector_residual(rho))
             if rho.shape[-1] == top:

@@ -370,12 +370,16 @@ def test_reduction_stacks_equal_partial_traces(monkeypatch, state, entries):
     monkeypatch.setattr(weights, "_STACK_ENTRIES", entries)
     n = state.n
     for r in range(1, n):
-        keeps = list(itertools.combinations(range(n), r))
+        want = [sum(1 << j for j in R) for R in itertools.combinations(range(n), r)]
         stacks = list(weights.reduction_stacks(state, weights._masks_of_size(n, r)))
-        masks = np.concatenate([m for m, _ in stacks])
-        assert masks.tolist() == [sum(1 << j for j in R) for R in keeps]
+        masks = np.concatenate([m for m, _ in stacks]).tolist()
+        # each keep-set once; below floor(n/2) in the order of the descent
+        assert sorted(masks) == sorted(want)
+        if r >= n // 2:
+            assert masks == want
         rhos = np.concatenate([rho for _, rho in stacks])
-        for R, rho in zip(keeps, rhos):
+        for mask, rho in zip(masks, rhos):
+            R = [j for j in range(n) if mask >> j & 1]
             entries = partial_trace(state, R).entries
             assert rho.astype(np.complex128).tobytes() == entries.tobytes(), R
 
@@ -419,11 +423,16 @@ def test_reduction_stacks_equal_an_einsum_partial_trace(monkeypatch, state, entr
     monkeypatch.setattr(weights, "_STACK_ENTRIES", entries)
     n = state.n
     for r in range(1, n + 1):
-        keeps = list(itertools.combinations(range(n), r))
-        stacks = weights.reduction_stacks(state, [sum(1 << j for j in R) for R in keeps])
+        want = [sum(1 << j for j in R) for R in itertools.combinations(range(n), r)]
+        stacks = list(weights.reduction_stacks(state, want))
+        masks = np.concatenate([m for m, _ in stacks]).tolist()
+        assert sorted(masks) == sorted(want)
+        if r >= n // 2:
+            assert masks == want
         rhos = np.concatenate([rho for _, rho in stacks])
-        assert len(rhos) == len(keeps)
-        for R, rho in zip(keeps, rhos):
+        assert len(rhos) == len(want)
+        for mask, rho in zip(masks, rhos):
+            R = [j for j in range(n) if mask >> j & 1]
             assert np.abs(rho - _einsum_reduction(state, R)).max() <= 1e-15, R
 
 
@@ -482,7 +491,7 @@ def _tensordot_reduction(state, R):
 def test_small_side_sweep_yields_each_keep_set_once(n, d):
     state = _random_state(n, d, 100 + 10 * n + d)
     swept = {}
-    for masks, rho in weights._small_side_stacks(state):
+    for masks, rho in weights._small_side_stacks(state, weights.bit_counts(n) <= n // 2):
         for mask, matrix in zip(masks.tolist(), rho):
             assert mask not in swept, mask
             swept[mask] = matrix
@@ -549,6 +558,31 @@ def test_each_route_forms_its_tier_once(monkeypatch, n, d):
     weight_distribution(state)
     assert sorted(formed) == [t for t in range(2**n) if t.bit_count() == m and (n % 2 or t & 1)]
     assert len(formed) == (math.comb(n, m) if n % 2 else math.comb(n - 1, m - 1))
+
+
+@pytest.mark.parametrize("n, k, parents", [(13, 3, 120), (10, 2, 21), (9, 1, 6)])
+def test_k_uniformity_below_the_tier_forms_each_ancestor_once(monkeypatch, n, k, parents):
+    # a k-set below m = floor(n/2) is traced down from R plus its lowest
+    # missing parties, up to m; k-sets sharing that m-set share one formation
+    state = _graph_state(n, 90 + n)
+    m = n // 2
+    formed = []
+    reduction_stacks = weights.reduction_stacks
+
+    def counting(reduced, keeps):
+        formed.extend(t for t in np.asarray(keeps).tolist() if t.bit_count() == m)
+        return reduction_stacks(reduced, keeps)
+
+    monkeypatch.setattr(weights, "reduction_stacks", counting)
+    k_uniformity(state, k)
+    ancestors = set()
+    for R in itertools.combinations(range(n), k):
+        t = sum(1 << j for j in R)
+        while t.bit_count() < m:
+            t |= t + 1
+        ancestors.add(t)
+    assert sorted(formed) == sorted(ancestors)
+    assert len(formed) == parents < math.comb(n, k)
 
 
 def _real_haar_state(n, d, seed):
