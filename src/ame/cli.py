@@ -314,11 +314,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 # Work cap of `verify`, in the units of `_verify_work`.  On a 2-core host a
-# unit takes about 0.35 ns on a complex state and 0.2 ns on a real one, which
+# unit takes about 0.2 ns on a complex state and 0.15 ns on a real one, which
 # is reduced in float64, once the reductions reach BLAS size.  The largest
 # admitted states, read from state files, are ghz(15) at 4.1e10 units, which
 # is real, and a complex (n, d) = (11, 3) state at 2.6e10: `ame verify` takes
-# 7.6-8.9 s and 9.0-10.5 s on them, with 41 and 68 MB peak RSS.  The next
+# 5.5-7.5 s and 4.0-5.6 s on them, with 41 and 68 MB peak RSS.  The next
 # ones, (16, 2) at 3.6e11 and (12, 3) at 4.9e11, are refused.
 MAX_VERIFY_WORK = 5 * 10**10
 

@@ -5,19 +5,21 @@ subsystem purities, for every S at once by one subset-sum transform,
 
     tr(P_S^2) = d^|S| * sum_{T subseteq S} (-1)^(|S| - |T|) d^|T| tr(rho_T^2),
 
-with the empty reduction read as the scalar 1.  This route never chooses a
-generator basis, which makes it the reference implementation; the expansion
-in `basis` recomputes the same numbers from squared Bloch coefficients and
-the two must agree on every state to 1e-9, relative to the value once it
-exceeds 1.  Reductions stay on the Schmidt side (<= d^floor(n/2) a side):
-a pure state gives T and Tbar the same purity, so every purity, the
-transform's and `subset_purity`'s alike, is read off the one reduction that
-`_pair_representatives` picks for the pair {T, Tbar}: the smaller side, and
-at |T| = n/2 the side holding party 0.  Both read it with `_purities`, one
-batched dot a stack.  Supports and pairs are bitmask arrays over all 2^n
-masks (`_supports`, `_pair_representatives`), shared by both weight routes,
-`subset_purity` and `verification_sweep`.  The
-projector residual of a large reduction rho_A is read off its small
+for the normalised state rho = psi psi^dag / ||psi||^2: `_purity_table`
+divides by ||psi||^4, so the empty reduction is exactly 1, and so is the
+full one, which the transform weighs by up to d^(2n).  This route never
+chooses a generator basis, which makes it the reference implementation; the
+expansion in `basis` recomputes the same numbers from squared Bloch
+coefficients and the two must agree on every state to 1e-9, relative to the
+value once it exceeds 1.  Reductions stay on the Schmidt side
+(<= d^floor(n/2) a side): a pure state gives T and Tbar the same purity, so
+every purity, the transform's and `subset_purity`'s alike, is read off the
+one reduction that `_pair_representatives` picks for the pair {T, Tbar}: the
+smaller side, and at |T| = n/2 the side holding party 0.  Both read it with
+`_purities`, one batched dot a stack.  Supports and pairs are bitmask arrays
+over all 2^n masks (`_supports`, `_pair_representatives`), shared by both
+weight routes, `subset_purity` and `verification_sweep`.  The projector
+residual of a large reduction rho_A is read off its small
 complement rho_R in Frobenius norm: with psi the (A, R) amplitudes and
 G = psi^dag psi = rho_R^T,
 ||psi (G - c) psi^dag||_F = ||G^1/2 (G - c) G^1/2||_F = ||rho_R^2 - c rho_R||_F.
@@ -36,9 +38,10 @@ m to that walk, so `partial_trace`, `subset_purity` and `k_uniformity` read
 the same matrices as the sweep.  `partial_trace` and `subset_purity` ask
 for one keep-set; `partial_trace` wraps its matrix in `DensityMatrix`, the
 validated container, which stores complex128 and whose `_validate` checks
-it (finite, Hermitian, unit trace, spectrum).  The deviation from I/dim and
-the projector residual of one matrix or a stack come from `_max_deviation`
-and `_max_projector_residual`.
+it: finite, Hermitian, unit trace, and positive semidefinite to 1e-9 by one
+Cholesky factorisation of rho + 1e-9 I.  The deviation from I/dim and the
+projector residual of one matrix or a stack come from `_max_deviation` and
+`_max_projector_residual`.
 
 `weight_distribution` and `verification_sweep`, behind `ame verify`, read
 their reductions from `_small_side_stacks`.  Every parent holds party 0, and
@@ -88,16 +91,30 @@ def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool
 
 
 def _validate(rho: np.ndarray) -> None:
-    """Density-matrix checks on the last two axes of `rho`, one matrix or a stack."""
+    """Density-matrix checks on the last two axes of `rho`, one matrix or a stack.
+
+    Finite, Hermitian to 1e-12, unit trace to 1e-12, and no eigenvalue below
+    -1e-9.  The last is one batched Cholesky factorisation of rho + 1e-9 I,
+    which exists exactly when every eigenvalue of the Hermitian rho exceeds
+    -1e-9; Cholesky is backward stable, so it can disagree with the spectrum
+    only within about dim * eps of that threshold, and it forms no spectrum.
+    """
     # every comparison below is false on NaN
     if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
     if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > 1e-12:
         raise ValueError("density matrix not Hermitian")
-    if np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0).max() > 1e-12:
+    if np.abs(rho.trace(axis1=-2, axis2=-1).real - 1.0).max() > 1e-12:
         raise ValueError("density matrix trace != 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-9:
-        raise ValueError("density matrix not positive semidefinite")
+    dim = rho.shape[-1]
+    # a strided write into zeros costs less than 1e-9 * np.eye(dim) on the
+    # 2x2 to 8x8 stacks of small states
+    shift = np.zeros((dim, dim))
+    shift.flat[:: dim + 1] = 1e-9
+    try:
+        np.linalg.cholesky(rho + shift)
+    except np.linalg.LinAlgError:
+        raise ValueError("density matrix not positive semidefinite") from None
 
 
 def _max_deviation(rho: np.ndarray) -> float:
@@ -165,21 +182,23 @@ def _purities(rho: np.ndarray) -> np.ndarray:
 
 
 def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
-    """tr(rho_S^2) for the reduction onto `sites`; the empty reduction gives 1.
+    """tr(rho_S^2) of psi psi^dag / ||psi||^2 reduced onto `sites`; the empty
+    reduction gives 1.
 
     A pure state carries equal Schmidt spectra on the two sides of any
     bipartition, so the reduction formed is the pair representative of
     `sites` (`_pair_representatives`): the smaller side, and at |S| = n/2 the
     side holding party 0, the same one the purity table reads, with the same
-    `_purities`.  The value is therefore the same for `sites` and its
-    complement, and the same as the table's, bit for bit.
+    `_purities` and the same division by `_empty_purity`.  The value is
+    therefore the same for `sites` and its complement, and the same as the
+    table's, bit for bit.
     """
     S = _validated_sites(state, sites, allow_empty=True)
     mask = int(_pair_representatives(state.n)[sum(1 << j for j in S)])
     if not mask:
-        return _empty_purity(state)
+        return 1.0
     ((_, rho),) = reduction_stacks(state, [mask])
-    return float(_purities(rho)[0])
+    return float(_purities(rho)[0]) / _empty_purity(state)
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,13 +245,16 @@ def _masks_of_size(n: int, r: int) -> np.ndarray:
 
 
 def _purity_table(state: StateVector, stacks: Iterable[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """tr(rho_T^2) for every bitmask T, from (masks, rho) stacks holding every
-    nonempty pair representative.
+    """tr(rho_T^2) of rho = psi psi^dag / ||psi||^2 for every bitmask T, from
+    (masks, rho) stacks holding every nonempty pair representative of psi.
 
     A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each pair's purity is
     read once, off its representative, and serves both masks.  Each stack's
     purities come from one `_purities` call; those of masks that represent no
     pair (half of the n/2-party tier `verification_sweep` forms) are dropped.
+    The table is divided by its empty entry ||psi||^4, so the empty and full
+    entries are exactly 1: the transform weighs them by up to d^(2n), and a
+    norm error of a few eps would be amplified by as much.
     """
     reps = _pair_representatives(state.n)
     purities = np.empty(2**state.n)
@@ -240,7 +262,7 @@ def _purity_table(state: StateVector, stacks: Iterable[tuple[np.ndarray, ...]]) 
     for masks, rho in stacks:
         held = reps[masks] == masks
         purities[masks[held]] = _purities(rho)[held]
-    return purities[reps]
+    return purities[reps] / purities[0]
 
 
 def _transform(w: np.ndarray, d: int) -> np.ndarray:

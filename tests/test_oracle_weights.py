@@ -355,6 +355,61 @@ def test_stacked_validation_raises_what_density_matrix_raises(bad):
     assert str(stacked.value) == str(single.value)
 
 
+def _density_matrix(rng, dim, least, real):
+    """Q diag(lam) Q^dag, unit trace, with Q seeded and least the smallest lam."""
+    a = rng.normal(size=(dim, dim))
+    if not real:
+        a = a + 1j * rng.normal(size=(dim, dim))
+    q, _ = np.linalg.qr(a)
+    rest = rng.random(dim - 1) + 0.5
+    lam = np.concatenate([[least], rest * (1 - least) / rest.sum()])
+    rho = (q * lam) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def _assert_positivity_decided(rho, negative):
+    """_validate on a stack and through DensityMatrix reject rho exactly when negative."""
+    dim = rho.shape[-1]
+    stack = np.stack([np.eye(dim) / dim, rho, np.eye(dim) / dim])
+    for check in (lambda: weights._validate(stack), lambda: DensityMatrix((0,), dim, rho)):
+        if negative:
+            with pytest.raises(ValueError, match="not positive semidefinite"):
+                check()
+        else:
+            check()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", [2, 4, 8, 16, 32, 64, 128])
+def test_positivity_is_decided_as_the_spectrum_decides(dim, real):
+    # least eigenvalue -1e-9 * (1 +- 10^-k): a shift dropped, flipped or of
+    # 1e-8 decides some of these the other way
+    rng = np.random.default_rng([dim, real])
+    decided = set()
+    for k in range(2, 7):
+        for sign in (1, -1):
+            rho = _density_matrix(rng, dim, -1e-9 * (1 + sign * 10.0**-k), real)
+            negative = bool(np.linalg.eigvalsh(rho).min() < -1e-9)
+            _assert_positivity_decided(rho, negative)
+            decided.add(negative)
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize(
+    "dim, rank, real", [(729, 5, False), (1000, 1, True)], ids=["729-rank5", "1000-rank1"]
+)
+def test_rank_deficient_density_matrices_are_accepted(dim, rank, real):
+    rng = np.random.default_rng(dim)
+    v = rng.normal(size=(dim, rank))
+    if not real:
+        v = v + 1j * rng.normal(size=(dim, rank))
+    rho = v @ v.conj().T
+    rho = rho / np.trace(rho).real
+    rho = (rho + rho.conj().T) / 2
+    assert np.linalg.eigvalsh(rho).min() >= -1e-9
+    _assert_positivity_decided(rho, False)
+
+
 STACK_STATES = {
     "ring5": ring5(),
     "ame62": ame62(),
