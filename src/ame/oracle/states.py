@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,6 +24,18 @@ import numpy as np
 
 _NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
+
+
+def as_index(value, what: str) -> int:
+    """`value` as a Python int, if it is an integer (int, bool or numpy integer).
+
+    A float, a string or anything else without `__index__` raises ValueError
+    naming `what` and the value, rather than being truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ class GraphSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 2:
             raise ValueError(f"need n >= 1 and d >= 2, got n={self.n}, d={self.d}")
-        adj = tuple(tuple(int(w) for w in row) for row in self.adjacency)
+        adj = tuple(tuple(as_index(w, "edge weight") for w in row) for row in self.adjacency)
         if len(adj) != self.n or any(len(row) != self.n for row in adj):
             raise ValueError(f"adjacency must be {self.n}x{self.n}")
         for u in range(self.n):
@@ -130,8 +143,10 @@ class GraphSpec:
         adj = [[0] * n for _ in range(n)]
         for edge in edges:
             u, v, *rest = edge
-            w = rest[0] if rest else 1
-            adj[u][v] = adj[v][u] = w
+            u, v = (as_index(x, f"vertex of edge {edge!r}") for x in (u, v))
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+            adj[u][v] = adj[v][u] = rest[0] if rest else 1
         return cls(n, d, tuple(tuple(row) for row in adj))
 
 

@@ -31,30 +31,32 @@ With m = floor(n/2), a keep-set of m or more parties is formed by one
 batched matmul per stack.  A smaller keep-set R has one source: its parent,
 R plus its lowest missing party j, which holds parties 0..j, so tracing
 party j out (`_trace_digit`) leaves every kept party at its own row digit.
-`_small_side_stacks` marks the parents of the keep-sets it is asked for, up
-to m parties, forms the marked m-party reductions and walks them down along
-marked children (`_descent`); `reduction_stacks` hands every keep-set below
-m to that walk, so `partial_trace`, `subset_purity` and `k_uniformity` read
-the same matrices as the sweep.  `partial_trace` and `subset_purity` ask
-for one keep-set; `partial_trace` wraps its matrix in `DensityMatrix`, the
-validated container, which stores complex128 and whose `_validate` checks
-it: finite, Hermitian, unit trace, and positive semidefinite to 1e-9 by one
-Cholesky factorisation of rho + 1e-9 I.  The deviation from I/dim and the
-projector residual of one matrix or a stack come from `_max_deviation` and
-`_max_projector_residual`.
+`_small_side_stacks` is given the m-party keep-sets to form, forms them and
+walks each down through every child, which reaches every keep-set below
+them once.  Each sweep names its tier; a `reduction_stacks` request below m
+forms the distinct m-party ancestors of its keep-sets, each keep-set's
+lowest missing parties filled up to m, walks them and keeps only the
+keep-sets it was asked for, so `partial_trace`, `subset_purity` and
+`k_uniformity` read the same matrices as the sweep.  `partial_trace` and
+`subset_purity` ask for one keep-set; `partial_trace` wraps its matrix in
+`DensityMatrix`, the validated container, which stores complex128 and whose
+`_validate` checks it: finite, Hermitian, unit trace, and positive
+semidefinite to 1e-9 by one Cholesky factorisation of rho + 1e-9 I.  The
+deviation from I/dim and the projector residual of one matrix or a stack
+come from `_max_deviation` and `_max_projector_residual`.
 
 `weight_distribution` and `verification_sweep`, behind `ame verify`, read
 their reductions from `_small_side_stacks`.  Every parent holds party 0, and
-at even n so does every m-party pair representative, so the table of pair
-representatives marks no other keep-set: `weight_distribution` forms C(n-1,
-m-1) m-party reductions at even n and all C(n, m) at odd n, and reads them
-unvalidated.  `verification_sweep` asks for every keep-set of at most m
-parties, since every m-set gives a k-uniformity deviation and a projector
+at even n so does every m-party pair representative, so the representatives
+of the tier reach every keep-set below m: `weight_distribution` names them
+as its tier, forms C(n-1, m-1) m-party reductions at even n and all C(n, m)
+at odd n, and reads them unvalidated.  `verification_sweep` names the whole
+tier, since every m-set gives a k-uniformity deviation and a projector
 residual, and runs `_validate` on each stack.  Both fill the purity table
-(`_purity_table`) from the representatives in each stack, one `_purities`
-call a stack.  `k_uniformity` reads the stacks of every k-party keep-set,
-wraps each matrix in its own `DensityMatrix`, on the parties of the mask the
-stack yields with it, and reads the deviation from I/dim once a stack.
+(`_purity_table`) from each stack, one `_purities` call a stack.
+`k_uniformity` reads the stacks of every k-party keep-set, wraps each matrix
+in its own `DensityMatrix`, on the parties of the mask the stack yields with
+it, and reads the deviation from I/dim once a stack.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .states import StateVector
+from .states import StateVector, as_index
 
 DESK_SCALE = 10**6
 
@@ -79,7 +81,7 @@ def check_desk_scale(n: int, d: int) -> None:
 
 
 def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool = False):
-    out = tuple(int(j) for j in sites)
+    out = tuple(as_index(j, "site") for j in sites)
     if not out and not allow_empty:
         raise ValueError("site subset must be nonempty")
     if len(set(out)) != len(out):
@@ -154,8 +156,9 @@ def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on `keep` (ascending order), complement summed out.
 
     It is the matrix `reduction_stacks` yields for `keep`: below floor(n/2)
-    parties, traced down from its parents by `_descent`, bit for bit the one
-    `weight_distribution` and `verification_sweep` read.
+    parties, traced down from its floor(n/2)-party ancestor by
+    `_small_side_stacks`, bit for bit the one `weight_distribution` and
+    `verification_sweep` read.
     """
     sites = _validated_sites(state, keep)
     ((_, rho),) = reduction_stacks(state, [sum(1 << j for j in sites)])
@@ -229,7 +232,8 @@ def _pair_representatives(n: int) -> np.ndarray:
 
     That is the pair's smaller side, and at |T| = n/2 the side holding party 0,
     the side every parent in `_small_side_stacks` is on, so the parents of a
-    representative are representatives.
+    representative are representatives, and the n/2-party representatives
+    reach every smaller keep-set.
     """
     masks = np.arange(2**n)
     twice = 2 * bit_counts(n)
@@ -250,8 +254,9 @@ def _purity_table(state: StateVector, stacks: Iterable[tuple[np.ndarray, ...]]) 
 
     A pure state has tr(rho_T^2) = tr(rho_Tbar^2), so each pair's purity is
     read once, off its representative, and serves both masks.  Each stack's
-    purities come from one `_purities` call; those of masks that represent no
-    pair (half of the n/2-party tier `verification_sweep` forms) are dropped.
+    purities come from one `_purities` call and are written at their masks;
+    those of masks that represent no pair (half of the n/2-party tier
+    `verification_sweep` forms) are written but never read.
     The table is divided by its empty entry ||psi||^4, so the empty and full
     entries are exactly 1: the transform weighs them by up to d^(2n), and a
     norm error of a few eps would be amplified by as much.
@@ -260,8 +265,7 @@ def _purity_table(state: StateVector, stacks: Iterable[tuple[np.ndarray, ...]]) 
     purities = np.empty(2**state.n)
     purities[0] = _empty_purity(state)
     for masks, rho in stacks:
-        held = reps[masks] == masks
-        purities[masks[held]] = _purities(rho)[held]
+        purities[masks] = _purities(rho)
     return purities[reps] / purities[0]
 
 
@@ -302,12 +306,13 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
     """Weight traces for every nonempty support, purity route.  Desk scale only.
 
     The reductions come from `_small_side_stacks`, unvalidated, given the
-    table of pair representatives: every reduction it yields represents its
-    pair, and `_purity_table` reads them all.
+    floor(n/2)-party pair representatives as its tier: every reduction it
+    yields represents its pair, and `_purity_table` reads them all.
     """
     n, d = state.n, state.d
     check_desk_scale(n, d)
-    stacks = _small_side_stacks(state, _pair_representatives(n) == np.arange(2**n))
+    tier = _masks_of_size(n, n // 2)
+    stacks = _small_side_stacks(state, tier[_pair_representatives(n)[tier] == tier])
     return WeightDistribution.from_masks(n, d, _transform(_purity_table(state, stacks), d))
 
 
@@ -328,13 +333,15 @@ def reduction_stacks(
     rho): keep-sets and their (k, d^r, d^r) reductions, kept sites in
     ascending order, each keep-set once; a caller that needs a density
     matrix runs `_validate` on it.  Every reduction in `oracle` is formed
-    here or by `_descent` from one formed here.
+    here or traced down by `_small_side_stacks` from one formed here.
 
     A keep-set of r >= m = floor(n/2) parties is formed directly, in the
     order given, a stack of them by one batched matmul of (k, d^r, d^(n-r))
-    amplitude matrices.  Below m the keep-sets come in the order of the
-    `_small_side_stacks` walk that reaches them, as the level-r stacks of
-    that walk, so every caller reads the sweep's own matrices.
+    amplitude matrices.  Below m each keep-set's ancestor, its lowest missing
+    parties filled up to m, is formed once, however many keep-sets share it;
+    `_small_side_stacks` walks the ancestors down, and the keep-sets asked
+    for come in the order of that walk, out of its level-r stacks, so every
+    caller reads the sweep's own matrices.
 
     The stack's dtype follows the state's: a state with no nonzero imaginary
     part gives float64 reductions psi psi^T, any other state complex128 ones.
@@ -343,8 +350,14 @@ def reduction_stacks(
     keeps = np.asarray(keeps)
     r = int(keeps[0]).bit_count()
     if r < m:
-        need = np.bincount(keeps, minlength=2**n) > 0
-        yield from (s for s in _small_side_stacks(state, need) if s[1].shape[-1] == d**r)
+        # each keep-set's ancestor: its lowest missing parties filled up to m
+        tier = keeps
+        for _ in range(m - r):
+            tier = tier | (tier + 1)
+        for masks, rho in _small_side_stacks(state, np.unique(tier)):
+            if rho.shape[-1] == d**r:
+                asked = np.isin(masks, keeps)
+                yield masks[asked], rho[asked]
         return
     rows = d**r
     cols = d**n // rows
@@ -379,64 +392,44 @@ def _trace_digit(rho: np.ndarray, j: int, d: int) -> np.ndarray:
     return out.reshape(len(rho), hi * lo, hi * lo)
 
 
-def _descent(
-    masks: np.ndarray, rho: np.ndarray, d: int, marked: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(masks, rho) and every marked reduction below it, one stack a level.
-
-    A keep-set holding parties 0..z-1 has the child with party j traced out
-    for every j < z, formed when `marked` holds it; that child holds parties
-    0..j-1, so its own children trace parties below j only.
-    """
-    while True:
-        yield masks, rho
-        if int(masks[0]).bit_count() == 1:
-            # the only child would be the empty reduction
-            return
-        children = []
-        # the bit of the lowest party each keep-set misses: it holds all below
-        missing = ~masks & (masks + 1)
-        for j in range(int(missing.max()).bit_length() - 1):
-            held = (missing > 1 << j) & marked[masks ^ (1 << j)]
-            if held.any():
-                children.append((masks[held] ^ (1 << j), _trace_digit(rho[held], j, d)))
-        if not children:
-            return
-        masks = np.concatenate([c for c, _ in children])
-        rho = np.concatenate([r for _, r in children])
-
-
 def _small_side_stacks(
-    state: StateVector, need: np.ndarray
+    state: StateVector, tier: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(masks, rho) stacks holding every rho_R that `need` marks, and the
-    parents it is traced down from, each once.
+    """(masks, rho) stacks holding the reductions onto the m = floor(n/2)-party
+    keep-sets in `tier` and onto every nonempty keep-set below them, each once.
 
-    `need` is a boolean table over all 2^n masks; the empty mask is never
-    formed, nor any of more than m = floor(n/2) parties.  Each R below m is
-    traced down from its parent, R plus its lowest missing party j, which
-    holds parties 0..j and so keeps R's parties at the same row digits; the
-    parents are marked in turn up to m parties.  Only the marked m-party
-    reductions are formed, by `reduction_stacks`, and `_descent` walks each
-    stack of them along marked children only, a level at a time, so no more
-    than two levels of it are held.  Every parent holds party 0, so a table
-    of pair representatives marks no other keep-set.
+    A keep-set R below m has one parent, R plus its lowest missing party j,
+    which holds parties 0..j, so tracing party j out (`_trace_digit`) keeps
+    R's parties at the same row digits.  A keep-set holding parties 0..z-1
+    thus has one child for each j < z, holding parties 0..j-1, whose own
+    children trace parties below j only, and walking every child from the
+    tier reaches each keep-set below it once.  The tier is formed by
+    `reduction_stacks`, and each stack of it is walked down a level at a
+    time, so no more than two levels of it are held.  Every parent holds
+    party 0, so the m-party pair representatives reach every keep-set below
+    m, as the whole tier does.
     """
-    n, m = state.n, state.n // 2
-    counts = bit_counts(n)
-    marked = need & (counts > 0)
-    below = np.flatnonzero(marked & (counts < m))
-    while below.size:
-        below |= below + 1
-        # a parent marked already is, or was, in the frontier itself
-        below = below[~marked[below]]
-        marked[below] = True
-        below = below[counts[below] < m]
-    tier = _masks_of_size(n, m)
-    tier = tier[marked[tier]]
-    if tier.size:
+    # at n = 1 the tier is the empty keep-set, whose reduction is never formed
+    if state.n > 1:
         for masks, rho in reduction_stacks(state, tier):
-            yield from _descent(masks, rho, state.d, marked)
+            while True:
+                yield masks, rho
+                if int(masks[0]).bit_count() == 1:
+                    # the only child would be the empty reduction
+                    break
+                children = []
+                # the bit of the lowest party each keep-set misses: it holds all below
+                missing = ~masks & (masks + 1)
+                for j in range(int(missing.max()).bit_length() - 1):
+                    held = missing > 1 << j
+                    if held.any():
+                        children.append(
+                            (masks[held] ^ (1 << j), _trace_digit(rho[held], j, state.d))
+                        )
+                if not children:
+                    break
+                masks = np.concatenate([c for c, _ in children])
+                rho = np.concatenate([r for _, r in children])
 
 
 class UniformityReport(NamedTuple):
@@ -505,7 +498,7 @@ def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribu
 
     def validated():
         nonlocal dev, proj
-        for masks, rho in _small_side_stacks(state, bit_counts(n) <= n // 2):
+        for masks, rho in _small_side_stacks(state, _masks_of_size(n, n // 2)):
             _validate(rho)
             proj = max(proj, _max_projector_residual(rho))
             if rho.shape[-1] == top:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,38 @@ def test_graph_spec_validation():
 def test_graph_spec_from_edges_and_edge_list():
     spec = GraphSpec.from_edges(3, 3, [(0, 1), (1, 2, 2)])
     assert spec.adjacency == ((0, 1, 0), (1, 0, 2), (0, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "weight", [1.5, "2", np.float64(1.0)], ids=["float", "str", "np.float64"]
+)
+def test_graph_spec_weights_must_be_integers(weight):
+    with pytest.raises(ValueError, match="edge weight must be an integer"):
+        GraphSpec(2, 2, ((0, weight), (weight, 0)))
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        ((0, 1, 0.9), "edge weight must be an integer, got 0.9"),
+        ((-1, 0), "edge (-1, 0) has a vertex outside 0..2"),
+        ((3, 0), "edge (3, 0) has a vertex outside 0..2"),
+        ((0.0, 1), "vertex of edge (0.0, 1) must be an integer"),
+    ],
+)
+def test_graph_spec_from_edges_rejects_bad_edges(edge, message):
+    # a fractional weight is not rounded away, and a vertex of -1 does not
+    # wrap round to the last one
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GraphSpec.from_edges(3, 2, [edge])
+
+
+def test_graph_spec_takes_numpy_integers():
+    spec = GraphSpec(3, 2, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64))
+    assert spec.adjacency == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
+    assert all(type(w) is int for row in spec.adjacency for w in row)
+    edges = [(np.int64(0), np.int64(1)), (np.int32(1), 2, np.int64(1))]
+    assert GraphSpec.from_edges(3, 2, edges) == spec
 
 
 def test_ring_graph_is_a_cycle():

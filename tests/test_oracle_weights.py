@@ -60,6 +60,28 @@ def test_partial_trace_validates_sites():
         partial_trace(state, (2,))
 
 
+@pytest.mark.parametrize("site", [1.7, "1", np.float64(2.0)], ids=["float", "str", "np.float64"])
+def test_sites_must_be_integers(site):
+    # a float or string site is refused, not truncated or parsed onto a party
+    state = ghz(4, 2)
+    with pytest.raises(ValueError, match="site must be an integer"):
+        partial_trace(state, [site])
+    with pytest.raises(ValueError, match="site must be an integer"):
+        subset_purity(state, [site])
+    with pytest.raises(ValueError, match="site must be an integer"):
+        projector_property_residual(state, [site, 0, 3])
+
+
+def test_numpy_integer_sites_are_accepted():
+    state = _random_state(4, 2, 17)
+    one = np.int64(1)
+    assert partial_trace(state, [one]).parties == (1,)
+    assert partial_trace(state, [one]).entries.tobytes() == partial_trace(state, [1]).entries.tobytes()
+    assert subset_purity(state, [one]) == subset_purity(state, [1])
+    residual = projector_property_residual(state, [one, np.int32(2), 3])
+    assert residual == projector_property_residual(state, [1, 2, 3])
+
+
 def test_density_matrix_invariants_enforced():
     with pytest.raises(ValueError):
         DensityMatrix((0,), 2, np.array([[0.5, 0.5j], [0.5j, 0.5]]))  # not Hermitian
@@ -546,7 +568,7 @@ def _tensordot_reduction(state, R):
 def test_small_side_sweep_yields_each_keep_set_once(n, d):
     state = _random_state(n, d, 100 + 10 * n + d)
     swept = {}
-    for masks, rho in weights._small_side_stacks(state, weights.bit_counts(n) <= n // 2):
+    for masks, rho in weights._small_side_stacks(state, weights._masks_of_size(n, n // 2)):
         for mask, matrix in zip(masks.tolist(), rho):
             assert mask not in swept, mask
             swept[mask] = matrix
@@ -556,6 +578,39 @@ def test_small_side_sweep_yields_each_keep_set_once(n, d):
         rho = swept[sum(1 << j for j in R)]
         assert np.abs(rho - _tensordot_reduction(state, R)).max() <= 1e-14, R
         assert partial_trace(state, R).entries.tobytes() == rho.tobytes(), R
+
+
+def _ancestor(t, m):
+    """The m-party keep-set a smaller keep-set t is traced down from."""
+    while t.bit_count() < m:
+        t |= t + 1
+    return t
+
+
+@pytest.mark.parametrize("n, d", [(9, 2), (10, 2), (7, 3), (13, 2)])
+def test_reduction_stacks_below_the_tier_yield_what_is_asked(n, d):
+    # a request below m walks the distinct m-party ancestors of its keep-sets
+    # and yields exactly those keep-sets, each the sweep's own matrix
+    state = _random_state(n, d, 300 + 10 * n + d)
+    m = n // 2
+    swept = {}
+    for masks, rho in weights._small_side_stacks(state, weights._masks_of_size(n, m)):
+        swept.update(zip(masks.tolist(), rho))
+    rng = np.random.default_rng(n + d)
+    for r in range(1, m):
+        tier = weights._masks_of_size(n, r)
+        # redraw until some asked keep-sets share an ancestor and some do not
+        while True:
+            asked = rng.permutation(tier)[: (len(tier) + 1) // 2]
+            ancestors = {_ancestor(t, m) for t in asked.tolist()}
+            if 1 < len(ancestors) < len(asked):
+                break
+        got = []
+        for masks, rho in weights.reduction_stacks(state, asked):
+            for mask, matrix in zip(masks.tolist(), rho):
+                got.append(mask)
+                assert matrix.tobytes() == swept[mask].tobytes(), (r, mask)
+        assert sorted(got) == sorted(asked.tolist()), r
 
 
 def test_weight_distribution_peak_stays_below_two_mib():
