@@ -139,20 +139,30 @@ class GraphSpec:
 
     @classmethod
     def from_edges(cls, n: int, d: int, edges: Iterable[tuple]) -> "GraphSpec":
-        """Build from (u, v) or (u, v, weight) tuples; bare pairs get weight 1."""
+        """Build from (u, v) or (u, v, weight) tuples; bare pairs get weight 1.
+
+        Each vertex pair is named once: a second (u, v) or (v, u) raises
+        ValueError rather than overwrite the first.
+        """
         adj = [[0] * n for _ in range(n)]
+        seen = set()
         for edge in edges:
             u, v, *rest = edge
             u, v = (as_index(x, f"vertex of edge {edge!r}") for x in (u, v))
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+            pair = (min(u, v), max(u, v))
+            if pair in seen:
+                raise ValueError(f"edge {edge!r} repeats the vertex pair ({u}, {v})")
+            seen.add(pair)
             adj[u][v] = adj[v][u] = rest[0] if rest else 1
         return cls(n, d, tuple(tuple(row) for row in adj))
 
 
 def ring_graph(n: int, d: int = 2) -> GraphSpec:
-    """Cycle C_n with unit edge weights."""
-    return GraphSpec.from_edges(n, d, [(j, (j + 1) % n) for j in range(n - 1)] + [(0, n - 1)])
+    """Cycle C_n with unit edge weights; C_2 is the one edge {0, 1}."""
+    edges = {(min(j, (j + 1) % n), max(j, (j + 1) % n)) for j in range(n)}
+    return GraphSpec.from_edges(n, d, sorted(edges))
 
 
 def graph_state(spec: GraphSpec) -> StateVector:

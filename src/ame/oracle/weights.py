@@ -35,9 +35,10 @@ party j out (`_trace_digit`) leaves every kept party at its own row digit.
 walks each down through every child, which reaches every keep-set below
 them once.  Each sweep names its tier; a `reduction_stacks` request below m
 forms the distinct m-party ancestors of its keep-sets, each keep-set's
-lowest missing parties filled up to m, walks them and keeps only the
-keep-sets it was asked for, so `partial_trace`, `subset_purity` and
-`k_uniformity` read the same matrices as the sweep.  `partial_trace` and
+lowest missing parties filled up to m, and walks them down through its
+keep-sets' own ancestors alone, tracing nothing below them, so
+`partial_trace`, `subset_purity` and `k_uniformity` read the same matrices
+as the sweep.  `partial_trace` and
 `subset_purity` ask for one keep-set; `partial_trace` wraps its matrix in
 `DensityMatrix`, the validated container, which stores complex128 and whose
 `_validate` checks it: finite, Hermitian, unit trace, and positive
@@ -320,7 +321,10 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
 # once, 1 MiB of complex128 (half that for a real state's float64): 64
 # reductions of a 10-qubit state a stack.  Larger stacks ran no faster on the
 # benchmark's states and raise the peak RSS; the tracemalloc peak of verifying
-# ghz(12), a real state, is 3.0 MiB with it (5.6 MiB as complex128).
+# ghz(12), a real state, is 3.0 MiB with it (5.6 MiB as complex128).  It also
+# bounds the trailing block `basis.bloch_coefficients` contracts at once,
+# d^(2(n-s)) complex entries after s leading sites are split off: 2^18 ran
+# no faster there, 2^14 took up to twice as long and 2^12 2 to 18 times.
 _STACK_ENTRIES = 2**16
 
 
@@ -339,9 +343,10 @@ def reduction_stacks(
     order given, a stack of them by one batched matmul of (k, d^r, d^(n-r))
     amplitude matrices.  Below m each keep-set's ancestor, its lowest missing
     parties filled up to m, is formed once, however many keep-sets share it;
-    `_small_side_stacks` walks the ancestors down, and the keep-sets asked
-    for come in the order of that walk, out of its level-r stacks, so every
-    caller reads the sweep's own matrices.
+    `_small_side_stacks` walks the ancestors down, tracing only the keep-sets
+    asked for and their ancestors, so no matrix below d^r is formed; the
+    keep-sets come in the order of that walk, out of its level-r stacks, and
+    every caller reads the sweep's own matrices.
 
     The stack's dtype follows the state's: a state with no nonzero imaginary
     part gives float64 reductions psi psi^T, any other state complex128 ones.
@@ -350,14 +355,16 @@ def reduction_stacks(
     keeps = np.asarray(keeps)
     r = int(keeps[0]).bit_count()
     if r < m:
-        # each keep-set's ancestor: its lowest missing parties filled up to m
+        # the keep-sets and every ancestor below the tier, each one's lowest
+        # missing party filled a level at a time: the walk traces only these
+        reach = np.zeros(2**n, dtype=bool)
         tier = keeps
         for _ in range(m - r):
+            reach[tier] = True
             tier = tier | (tier + 1)
-        for masks, rho in _small_side_stacks(state, np.unique(tier)):
+        for masks, rho in _small_side_stacks(state, np.unique(tier), reach):
             if rho.shape[-1] == d**r:
-                asked = np.isin(masks, keeps)
-                yield masks[asked], rho[asked]
+                yield masks, rho
         return
     rows = d**r
     cols = d**n // rows
@@ -393,10 +400,12 @@ def _trace_digit(rho: np.ndarray, j: int, d: int) -> np.ndarray:
 
 
 def _small_side_stacks(
-    state: StateVector, tier: np.ndarray
+    state: StateVector, tier: np.ndarray, reach: np.ndarray | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(masks, rho) stacks holding the reductions onto the m = floor(n/2)-party
-    keep-sets in `tier` and onto every nonempty keep-set below them, each once.
+    keep-sets in `tier` and onto every nonempty keep-set below them, each once,
+    or, given `reach`, a bool table over the 2^n masks, onto those below them
+    that it marks.
 
     A keep-set R below m has one parent, R plus its lowest missing party j,
     which holds parties 0..j, so tracing party j out (`_trace_digit`) keeps
@@ -407,7 +416,9 @@ def _small_side_stacks(
     `reduction_stacks`, and each stack of it is walked down a level at a
     time, so no more than two levels of it are held.  Every parent holds
     party 0, so the m-party pair representatives reach every keep-set below
-    m, as the whole tier does.
+    m, as the whole tier does.  A child `reach` does not mark is neither
+    traced nor walked, so a marked keep-set is reached only if `reach` also
+    marks each of its ancestors below the tier.
     """
     # at n = 1 the tier is the empty keep-set, whose reduction is never formed
     if state.n > 1:
@@ -422,6 +433,8 @@ def _small_side_stacks(
                 missing = ~masks & (masks + 1)
                 for j in range(int(missing.max()).bit_length() - 1):
                     held = missing > 1 << j
+                    if reach is not None:
+                        held &= reach[masks ^ (1 << j)]
                     if held.any():
                         children.append(
                             (masks[held] ^ (1 << j), _trace_digit(rho[held], j, state.d))

@@ -1,3 +1,4 @@
+import functools
 import random
 import tracemalloc
 
@@ -18,7 +19,7 @@ from ame.oracle import (
     weight_distribution,
     weight_distribution_basis,
 )
-from ame.oracle import basis
+from ame.oracle import basis, weights
 
 
 def _random_state(n, d, seed):
@@ -144,12 +145,35 @@ def _kron_coefficients(state):
     return r
 
 
-@pytest.mark.parametrize(
-    "n, d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (2, 5)]
-)
+_SHAPES = [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (2, 5)]
+
+
+@pytest.mark.parametrize("n, d", _SHAPES)
 def test_bloch_coefficients_equal_kron_reference(n, d):
     state = _random_state(n, d, 60 + 10 * n + d)
     assert np.abs(bloch_coefficients(state) - _kron_coefficients(state)).max() <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _state_and_reference(n, d, real):
+    rng = np.random.default_rng(80 + 10 * n + d)
+    v = rng.normal(size=d**n) + (0 if real else 1j * rng.normal(size=d**n))
+    state = StateVector(n, d, v / np.linalg.norm(v))
+    return state, _kron_coefficients(state)
+
+
+# trailing blocks of at most 1, 4 and 16 entries and the default 2^16: every
+# leading site split off (s = n), the middle values of s, and one s = 0 block
+@pytest.mark.parametrize("entries", [1, 4, 16, None], ids=["1", "4", "16", "default"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n, d", _SHAPES)
+def test_blocked_bloch_coefficients_equal_kron_reference(monkeypatch, n, d, real, entries):
+    if entries is not None:
+        monkeypatch.setattr(weights, "_STACK_ENTRIES", entries)
+    state, want = _state_and_reference(n, d, real)
+    got = bloch_coefficients(state)
+    assert got.shape == want.shape and got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-12
 
 
 def _bitmask_sums(state):
@@ -183,9 +207,10 @@ def test_weight_distribution_basis_equals_bitmask_sums(state):
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), S
 
 
-def test_basis_route_peak_is_two_coefficient_sized_arrays():
-    # a 10-qubit graph state: each d^(2n) complex array is 16 MiB; a density
-    # tensor that is not C-ordered costs a third array when first reshaped
+def test_basis_route_peak_is_under_two_real_coefficient_arrays():
+    # a 10-qubit graph state: the float64 coefficients take 8 MiB and their
+    # fold 6 MiB more; each trailing block is 2^16 complex entries, 1 MiB, and
+    # a complex d^(2n) density tensor, 16 MiB, is never formed
     rng = random.Random(5)
     edges = [(u, v, rng.randrange(2)) for u in range(10) for v in range(u + 1, 10)]
     state = graph_state(GraphSpec.from_edges(10, 2, edges))
@@ -195,4 +220,4 @@ def test_basis_route_peak_is_two_coefficient_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 16 * 2**20 + 2**20
+    assert peak <= 2 * 8 * 2**20

@@ -149,6 +149,22 @@ def test_graph_spec_from_edges_rejects_bad_edges(edge, message):
         GraphSpec.from_edges(3, 2, [edge])
 
 
+@pytest.mark.parametrize(
+    "edges, pair",
+    [
+        ([(0, 1, 2), (0, 1, 0)], "(0, 1)"),
+        ([(0, 1, 1), (1, 0, 2)], "(1, 0)"),
+        ([(2, 1), (1, 2)], "(1, 2)"),
+    ],
+    ids=["same-orientation", "reversed", "bare-pairs"],
+)
+def test_graph_spec_from_edges_refuses_a_repeated_edge(edges, pair):
+    # a second naming of a vertex pair used to overwrite the first: the first
+    # case built no edge at all
+    with pytest.raises(ValueError, match=re.escape(f"{edges[1]!r} repeats the vertex pair {pair}")):
+        GraphSpec.from_edges(3, 3, edges)
+
+
 def test_graph_spec_takes_numpy_integers():
     spec = GraphSpec(3, 2, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64))
     assert spec.adjacency == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
@@ -162,6 +178,12 @@ def test_ring_graph_is_a_cycle():
     degrees = [sum(1 for w in row if w) for row in spec.adjacency]
     assert degrees == [2] * 5
     assert spec.adjacency[0][4] == 1
+
+
+def test_ring_graph_of_two_and_three_vertices():
+    # C_2 names its one edge once; C_3 is the triangle
+    assert ring_graph(2).adjacency == ((0, 1), (1, 0))
+    assert ring_graph(3, 3).adjacency == ((0, 1, 1), (1, 0, 1), (1, 1, 0))
 
 
 def test_graph_state_empty_graph_is_uniform():

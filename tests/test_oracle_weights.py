@@ -613,6 +613,39 @@ def test_reduction_stacks_below_the_tier_yield_what_is_asked(n, d):
         assert sorted(got) == sorted(asked.tolist()), r
 
 
+@pytest.mark.parametrize("n, d", [(9, 2), (13, 2), (7, 3)])
+def test_reduction_stacks_below_the_tier_trace_only_the_asked_and_their_ancestors(
+    monkeypatch, n, d
+):
+    # the walk stops at level r and leaves every branch that leads to no asked
+    # keep-set: each traced matrix is an asked keep-set or one of its ancestors
+    state = _random_state(n, d, 400 + 10 * n + d)
+    m = n // 2
+    traced = []
+    trace_digit = weights._trace_digit
+
+    def spying(rho, j, dd):
+        out = trace_digit(rho, j, dd)
+        traced.extend([out.shape[-1]] * len(out))
+        return out
+
+    monkeypatch.setattr(weights, "_trace_digit", spying)
+    rng = np.random.default_rng(n * d)
+    for r in range(1, m):
+        tier = weights._masks_of_size(n, r)
+        for asked in (tier[:1], rng.permutation(tier)[: (len(tier) + 1) // 2]):
+            traced.clear()
+            got = [masks.tolist() for masks, _ in weights.reduction_stacks(state, asked)]
+            assert sorted(sum(got, [])) == sorted(asked.tolist())
+            assert min(traced) == d**r, r
+            below = set()
+            for t in asked.tolist():
+                while t.bit_count() < m:
+                    below.add(t)
+                    t |= t + 1
+            assert len(traced) == len(below), r
+
+
 def test_weight_distribution_peak_stays_below_two_mib():
     # the six-party tier of a 13-qubit state is 1716 64x64 matrices, 56 MiB
     # held at once; the sweep holds one stack per level
