@@ -8,17 +8,23 @@ from the conventional trace-2 normalization to trace d.
 With rho = d^-n sum_alpha r_alpha g_alpha, grouping squared coefficients by
 the exact support S of alpha gives tr(P_S^2) = d^|S| * sum_{supp(alpha)=S}
 r_alpha^2 -- the second, basis-dependent route to the numbers produced by
-`weights.weight_distribution`.  The coefficients are contracted in blocks:
-enough leading sites are split off that each block, the matrix the state
-leaves on the trailing sites for one leading-site operator, fits the
-oracle's stack budget `weights._STACK_ENTRIES`, so no complex tensor of
-d^(2n) entries is formed, and the only array of that size is the float64
-output.  Each block takes one BLAS matmul per trailing site against the
-(d^2, d^2) basis matrix, the leading site each time.  The grouping needs
-no per-coefficient support bitmask: whether a_j is 0 or not is all that S
-records of party j, so each party's axis of the squared tensor, squared in
-place, folds to two entries (identity, and the sum over the traceless
-1..d^2-1), and the resulting (2,)*n tensor holds the 2^n support sums.
+`weights.weight_distribution`.  The coefficients are real, and are computed
+in real arithmetic: the d(d-1)/2 imaginary generators times i are real
+antisymmetric matrices, the others real symmetric, which gives a real basis
+h_a, and with k the number of antisymmetric factors in alpha,
+r_alpha = (-1)^floor(k/2) * tr((Re rho + Im rho) h_alpha).  They are
+contracted in blocks: enough leading sites are split off that each block,
+the real matrix N the state leaves on the trailing sites for one
+leading-site operator, fits the oracle's stack budget
+`weights._STACK_ENTRIES`, so no d^(2n) density tensor is formed, and the
+only array of that size is the float64 output.  Each block takes one BLAS
+matmul per trailing site against the real (d^2, d^2) basis matrix, the
+leading site each time, and its signs as it is written.  The grouping
+needs no per-coefficient support bitmask: whether a_j is 0 or not is all
+that S records of party j, so each party's axis of the squared tensor,
+squared in place, folds in place to two entries (identity, and the sum
+over the traceless 1..d^2-1), and those entries of every axis, a (2,)*n
+view, hold the 2^n support sums.
 """
 
 from __future__ import annotations
@@ -61,56 +67,93 @@ def one_site_basis(d: int) -> np.ndarray:
     return g
 
 
+def _real_site_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real basis h_a = g_a, or i*g_a for an imaginary g_a, and which h_a are antisymmetric.
+
+    Checks the premise of the real form: each generator is real (so, being
+    Hermitian, symmetric), or imaginary with i*g_a real antisymmetric.
+    """
+    g = one_site_basis(d)
+    odd = g.imag.any(axis=(1, 2))
+    h = g * np.where(odd, 1j, 1)[:, None, None]
+    transposed = np.where(odd[:, None, None], -h, h)
+    if h.imag.any() or not np.array_equal(h.transpose(0, 2, 1), transposed):
+        raise AssertionError("each generator must be real, or imaginary and antisymmetric")
+    return h.real, odd
+
+
 def bloch_coefficients(state: StateVector) -> np.ndarray:
     """Coefficient tensor r[a_0, ..., a_{n-1}] = tr(rho * g_{a_0} x ... x g_{a_{n-1}}).
 
+    Computed in float64 alone, real and complex states alike.  Each
+    generator is real and symmetric or imaginary and antisymmetric, so
+    h_a = g_a, respectively i*g_a, is a real basis, and g_alpha =
+    (-i)^k h_alpha with k the number of antisymmetric factors in alpha.
+    With rho = A + iB, A real symmetric and B real antisymmetric,
+    tr(B h_alpha) = 0 for even k (h_alpha symmetric) and tr(A h_alpha) = 0
+    for odd k (h_alpha antisymmetric), so
+
+        r_alpha = (-1)^floor(k/2) * tr(C h_alpha),  C = Re rho + Im rho,
+
+    exactly, for every state.  The premise, each generator real or
+    imaginary and antisymmetric, is checked once per call, by
+    `_real_site_basis`.
+
     Contracted in blocks over the leading sites: the fewest leading sites s
     are split off for which a trailing block of d^(2(n-s)) entries fits
-    `weights._STACK_ENTRIES`, read at call time, so rho itself is formed only
+    `weights._STACK_ENTRIES`, read at call time, so C itself is formed only
     by a state small enough to be the single s = 0 block.  With the
-    amplitudes as a d^s x d^(n-s) matrix T, the leading-site operator
-    G = g_{a_0} x ... x g_{a_{s-1}} leaves the Hermitian d^(n-s) x d^(n-s)
-    matrix M = T^T G^T conj(T), with
-    r[a_0, ..., a_{n-1}] = tr(M * g_{a_s} x ... x g_{a_{n-1}}).  M is
-    contracted against the basis one site at a time: formed once with each
-    site's row and column digits adjacent, site s leading, each site is one
-    BLAS matmul, which reads the transposed operand in place, contracts the
-    leading site's d^2 (row, column) entries with the (d^2, d^2) basis matrix
-    and puts its coefficient axis last, after those of the sites already
-    contracted.  Hermiticity makes every coefficient real: each block's
-    imaginary parts are checked to be rounding noise, and its real part is
-    written into the one float64 output, the blocks in C order of the leading
-    operators.  Besides the output, only a few complex arrays of one block's
+    amplitudes as a d^s x d^(n-s) matrix T = P + iQ, the leading-site
+    operator H = h_{a_0} x ... x h_{a_{s-1}} leaves the real
+    d^(n-s) x d^(n-s) block N = P^T H^T (P - Q) + Q^T H^T (Q + P), one
+    matmul over the stacked [P; Q] (for a real state N = P^T H^T P), with
+    tr(C h_alpha) = tr(N * h_{a_s} x ... x h_{a_{n-1}}).  N is contracted
+    against the real basis one site at a time: formed once with each site's
+    row and column digits adjacent, site s leading, each site is one BLAS
+    matmul, which reads the transposed operand in place, contracts the
+    leading site's d^2 (row, column) entries with the (d^2, d^2) basis
+    matrix and puts its coefficient axis last, after those of the sites
+    already contracted.  The sign (-1)^floor(k/2) is applied as each block
+    is written into the one float64 output, the blocks in C order of the
+    leading operators: k is the leading operator's count c plus the
+    trailing index's, and since residues c and c + 2 differ by an overall
+    sign, folded into H, two sign tables of the block's size serve every
+    block.  Besides the output, only a few float64 arrays of one block's
     size are held at once.
     """
     n, d = state.n, state.d
     if d ** (2 * n) > _COEFF_SCALE:
         raise ValueError(f"coefficient tensor too large: d**(2n) = {d ** (2 * n)}")
-    g = one_site_basis(d)
-    # basis[x * d + y, a] = g_a[y, x]: a row of (x, y) entries of M maps to
-    # sum_{x,y} M[x, y] g_a[y, x], the trace over that site
-    basis = g.transpose(2, 1, 0).reshape(d * d, d * d)
+    h, odd = _real_site_basis(d)
+    # basis[x * d + y, a] = h_a[y, x]: a row of (x, y) entries of N maps to
+    # sum_{x,y} N[x, y] h_a[y, x], the trace over that site
+    basis = h.transpose(2, 1, 0).reshape(d * d, d * d)
     s = 0
     while s < n and d ** (2 * (n - s)) > weights._STACK_ENTRIES:
         s += 1
     k = n - s
     t = np.ascontiguousarray(state.site_tensor()).reshape(d**s, d**k)
-    t_conj = t.conj()
-    # M's row and column digits of each trailing site adjacent, site s leading
+    lhs = np.concatenate([t.real, t.imag])
+    rhs = np.stack([t.real - t.imag, t.imag + t.real])
+    # the count of antisymmetric factors of each trailing index, in C order
+    trail = np.zeros(1, dtype=np.int8)
+    for _ in range(k):
+        trail = (trail[:, None] + odd).reshape(-1)
+    signs = [np.where((c + trail) // 2 % 2, -1.0, 1.0) for c in (0, 1)]
+    # N's row and column digits of each trailing site adjacent, site s leading
     order = [a for j in range(k) for a in (j, k + j)]
     out = np.empty(((d * d) ** s, (d * d) ** k))
-    for block, ops in enumerate(itertools.product(g, repeat=s)):
-        op = functools.reduce(np.kron, ops, np.ones((1, 1)))
+    for block, lead in enumerate(itertools.product(range(d * d), repeat=s)):
+        c = sum(odd[a] for a in lead)
+        op = functools.reduce(np.kron, (h[a] for a in lead), np.full((1, 1), (-1.0) ** (c // 2)))
         cur = np.ascontiguousarray(
-            (t.T @ (op.T @ t_conj)).reshape((d,) * (2 * k)).transpose(order)
+            (lhs.T @ (op.T @ rhs).reshape(2 * d**s, d**k)).reshape((d,) * (2 * k)).transpose(order)
         )
         # cur holds (row and column digits of sites s+j..n-1, coefficient axes
         # of sites s..s+j-1) before step j
         for _ in range(k):
             cur = cur.reshape(d * d, -1).T @ basis
-        if float(np.abs(cur.imag).max()) > 1e-9:
-            raise AssertionError("Bloch coefficients of a Hermitian matrix must be real")
-        out[block] = cur.real.reshape(-1)
+        np.multiply(cur.reshape(-1), signs[c % 2], out=out[block])
     return out.reshape((d * d,) * n)
 
 
@@ -119,11 +162,15 @@ def weight_distribution_basis(state: StateVector) -> WeightDistribution:
     n, d = state.n, state.d
     acc = bloch_coefficients(state)
     np.square(acc, out=acc)
-    # fold each party's axis to (identity, sum over the traceless 1..d^2-1),
-    # leading party first, so the folded axes collect at the end in party order
-    for _ in range(n):
-        acc = acc.reshape(d * d, -1)
-        acc = np.stack([acc[0], acc[1:].sum(axis=0)], axis=-1)
+    # fold each party's axis to (identity, sum over the traceless 1..d^2-1)
+    # in place, into its entry 1; the parties before it are folded already,
+    # so only their entries 0 and 1 are read; the Ellipsis keeps a one-party
+    # entry a 0-d view, not a scalar
+    for j in range(n):
+        lead = (slice(0, 2),) * j
+        one = acc[lead + (1, ...)]
+        for a in range(2, d * d):
+            np.add(one, acc[lead + (a, ...)], out=one)
     # axis j of the (2,)*n sums is bit j of the support mask
-    acc = acc.reshape((2,) * n).transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
+    acc = acc[(slice(0, 2),) * n].transpose(tuple(range(n - 1, -1, -1))).reshape(-1)
     return WeightDistribution.from_masks(n, d, acc * d ** bit_counts(n))

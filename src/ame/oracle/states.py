@@ -142,7 +142,8 @@ class GraphSpec:
         """Build from (u, v) or (u, v, weight) tuples; bare pairs get weight 1.
 
         Each vertex pair is named once: a second (u, v) or (v, u) raises
-        ValueError rather than overwrite the first.
+        ValueError rather than overwrite the first.  A self-loop (u, u, w)
+        raises ValueError naming the edge, whatever its weight, w = 0 too.
         """
         adj = [[0] * n for _ in range(n)]
         seen = set()
@@ -151,6 +152,8 @@ class GraphSpec:
             u, v = (as_index(x, f"vertex of edge {edge!r}") for x in (u, v))
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+            if u == v:
+                raise ValueError(f"edge {edge!r} is a self-loop at vertex {u}")
             pair = (min(u, v), max(u, v))
             if pair in seen:
                 raise ValueError(f"edge {edge!r} repeats the vertex pair ({u}, {v})")

@@ -323,8 +323,10 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
 # benchmark's states and raise the peak RSS; the tracemalloc peak of verifying
 # ghz(12), a real state, is 3.0 MiB with it (5.6 MiB as complex128).  It also
 # bounds the trailing block `basis.bloch_coefficients` contracts at once,
-# d^(2(n-s)) complex entries after s leading sites are split off: 2^18 ran
-# no faster there, 2^14 took up to twice as long and 2^12 2 to 18 times.
+# d^(2(n-s)) float64 entries after s leading sites are split off: on a
+# 10-qubit graph state and Haar states at (11, 2), (5, 5) and (6, 3), 2^18
+# took up to 2.5 times as long there, 2^14 up to 1.7 times and 2^12 2.7 to
+# 21 times.
 _STACK_ENTRIES = 2**16
 
 

@@ -207,17 +207,79 @@ def test_weight_distribution_basis_equals_bitmask_sums(state):
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), S
 
 
-def test_basis_route_peak_is_under_two_real_coefficient_arrays():
-    # a 10-qubit graph state: the float64 coefficients take 8 MiB and their
-    # fold 6 MiB more; each trailing block is 2^16 complex entries, 1 MiB, and
-    # a complex d^(2n) density tensor, 16 MiB, is never formed
+def _graph10_basis_route_peak():
+    """tracemalloc peak of weight_distribution_basis on a seeded 10-qubit graph state."""
     rng = random.Random(5)
     edges = [(u, v, rng.randrange(2)) for u in range(10) for v in range(u + 1, 10)]
     state = graph_state(GraphSpec.from_edges(10, 2, edges))
     tracemalloc.start()
     try:
         weight_distribution_basis(state)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * 2**20
+
+
+def test_basis_route_peak_is_under_two_real_coefficient_arrays():
+    # the float64 coefficients take 8 MiB; each trailing block is 2^16
+    # entries, and a complex d^(2n) density tensor, 16 MiB, is never formed
+    assert _graph10_basis_route_peak() <= 2 * 8 * 2**20
+
+
+def test_basis_route_folds_the_squares_in_place():
+    # 1.5 coefficient arrays: the 8 MiB of coefficients, a few float64 blocks
+    # of 2^16 entries, 0.5 MiB each, and the two sign tables; folding the
+    # squares out of place took 6 MiB more
+    assert _graph10_basis_route_peak() <= 1.5 * 8 * 2**20
+
+
+# --- the real form: r_alpha = (-1)^floor(k/2) tr((Re rho + Im rho) h_alpha)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_real_site_basis_is_real_with_the_imaginary_generators_antisymmetric(d):
+    h, odd = basis._real_site_basis(d)
+    assert h.dtype == np.float64 and h.shape == (d * d, d, d)
+    assert int(odd.sum()) == d * (d - 1) // 2
+    assert np.array_equal(h[odd].transpose(0, 2, 1), -h[odd])
+    assert np.array_equal(h[~odd].transpose(0, 2, 1), h[~odd])
+    # g_a = -i h_a for the antisymmetric members, g_a = h_a for the rest
+    assert np.array_equal(one_site_basis(d), np.where(odd[:, None, None], -1j * h, h))
+
+
+def test_bloch_coefficients_refuse_a_generator_neither_real_nor_imaginary(monkeypatch):
+    # (X + Y)/sqrt(2) is Hermitian and keeps the basis orthogonal, but is
+    # neither real nor imaginary, so the real form does not hold for it
+    g = one_site_basis(2)
+    g[1] = (g[1] + g[2]) / np.sqrt(2)
+    monkeypatch.setattr(basis, "one_site_basis", lambda d: g)
+    with pytest.raises(AssertionError, match="real, or imaginary and antisymmetric"):
+        bloch_coefficients(bell(2))
+
+
+# every leading site split off (each sign in the leading operator) and the
+# default budget (each sign in the trailing tables)
+@pytest.mark.parametrize("entries", [1, None], ids=["1", "default"])
+def test_bloch_coefficient_signs_written_out(monkeypatch, entries):
+    if entries is not None:
+        monkeypatch.setattr(weights, "_STACK_ENTRIES", entries)
+    # (|0> + i|1>)/sqrt(2) is the +1 eigenvector of Y: k = 1
+    plus_i = np.array([1.0, 1j]) / np.sqrt(2)
+    assert np.allclose(bloch_coefficients(StateVector(1, 2, plus_i)), [1.0, 0.0, 1.0, 0.0])
+    # (|000> + i|111>)/sqrt(2): YYY maps it to minus itself, so <YYY> = -1, k = 3
+    amps = np.zeros(8, dtype=complex)
+    amps[0], amps[7] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+    r = bloch_coefficients(StateVector(3, 2, amps))
+    assert r[2, 2, 2] == pytest.approx(-1.0, abs=1e-15)
+    assert r[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+    # the qutrit (|0> + i|1>)/sqrt(2) and its square: generator 2 is the
+    # antisymmetric one on levels 0 and 1, with <g_2> = sqrt(3/2), and
+    # g_8 = diag(1, 1, -2)/sqrt(2) gives 1/sqrt(2)
+    plus_i3 = np.array([1.0, 1j, 0.0]) / np.sqrt(2)
+    r = bloch_coefficients(StateVector(1, 3, plus_i3))
+    want = np.zeros(9)
+    want[0], want[2], want[8] = 1.0, np.sqrt(1.5), np.sqrt(0.5)
+    r2 = bloch_coefficients(StateVector(2, 3, np.kron(plus_i3, plus_i3)))
+    assert np.allclose(r, want, atol=1e-15)
+    assert np.allclose(r2, np.outer(want, want), atol=1e-15)
+    assert r2[2, 2] == pytest.approx(1.5, abs=1e-15)  # k = 2

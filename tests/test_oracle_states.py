@@ -165,6 +165,19 @@ def test_graph_spec_from_edges_refuses_a_repeated_edge(edges, pair):
         GraphSpec.from_edges(3, 3, edges)
 
 
+@pytest.mark.parametrize("edges", [[(0, 0, 0)], [(0, 1), (1, 1, 2)]], ids=["weight-0", "weight-2"])
+def test_graph_spec_from_edges_refuses_a_self_loop(edges):
+    # a weight-0 loop used to be accepted silently, a weighted one refused by
+    # the diagonal check with no edge named
+    with pytest.raises(ValueError, match=re.escape(f"edge {edges[-1]!r} is a self-loop")):
+        GraphSpec.from_edges(2, 2, edges)
+
+
+def test_ring_graph_of_one_vertex_names_its_loop():
+    with pytest.raises(ValueError, match=re.escape("edge (0, 0) is a self-loop at vertex 0")):
+        ring_graph(1)
+
+
 def test_graph_spec_takes_numpy_integers():
     spec = GraphSpec(3, 2, np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int64))
     assert spec.adjacency == ((0, 1, 0), (1, 0, 1), (0, 1, 0))
