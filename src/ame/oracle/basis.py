@@ -108,17 +108,17 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
     d^(n-s) x d^(n-s) block N = P^T H^T (P - Q) + Q^T H^T (Q + P), one
     matmul over the stacked [P; Q] (for a real state N = P^T H^T P), with
     tr(C h_alpha) = tr(N * h_{a_s} x ... x h_{a_{n-1}}).  N is contracted
-    against the real basis one site at a time: formed once with each site's
-    row and column digits adjacent, site s leading, each site is one BLAS
-    matmul, which reads the transposed operand in place, contracts the
-    leading site's d^2 (row, column) entries with the (d^2, d^2) basis
-    matrix and puts its coefficient axis last, after those of the sites
-    already contracted.  The sign (-1)^floor(k/2) is applied as each block
-    is written into the one float64 output, the blocks in C order of the
+    against the real basis one site at a time: each step moves the leading
+    site's row and column digits together, a 4-axis copy, and is one BLAS
+    matmul, which reads the transposed operand in place, contracts those
+    d^2 (row, column) entries with the (d^2, d^2) basis matrix and puts the
+    site's coefficient axis last, after those of the sites already
+    contracted.  The sign (-1)^floor(k/2) is applied as each block is
+    written into the one float64 output, the blocks in C order of the
     leading operators: k is the leading operator's count c plus the
     trailing index's, and since residues c and c + 2 differ by an overall
-    sign, folded into H, two sign tables of the block's size serve every
-    block.  Besides the output, only a few float64 arrays of one block's
+    sign, folded into H, two int8 sign tables of the block's size serve
+    every block.  Besides the output, two float64 arrays of one block's
     size are held at once.
     """
     n, d = state.n, state.d
@@ -139,20 +139,17 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
     trail = np.zeros(1, dtype=np.int8)
     for _ in range(k):
         trail = (trail[:, None] + odd).reshape(-1)
-    signs = [np.where((c + trail) // 2 % 2, -1.0, 1.0) for c in (0, 1)]
-    # N's row and column digits of each trailing site adjacent, site s leading
-    order = [a for j in range(k) for a in (j, k + j)]
+    signs = [np.where((c + trail) // 2 % 2, np.int8(-1), np.int8(1)) for c in (0, 1)]
     out = np.empty(((d * d) ** s, (d * d) ** k))
     for block, lead in enumerate(itertools.product(range(d * d), repeat=s)):
         c = sum(odd[a] for a in lead)
         op = functools.reduce(np.kron, (h[a] for a in lead), np.full((1, 1), (-1.0) ** (c // 2)))
-        cur = np.ascontiguousarray(
-            (lhs.T @ (op.T @ rhs).reshape(2 * d**s, d**k)).reshape((d,) * (2 * k)).transpose(order)
-        )
-        # cur holds (row and column digits of sites s+j..n-1, coefficient axes
-        # of sites s..s+j-1) before step j
-        for _ in range(k):
-            cur = cur.reshape(d * d, -1).T @ basis
+        cur = lhs.T @ (op.T @ rhs).reshape(2 * d**s, d**k)
+        # cur holds (row digits of sites s+j..n-1, their column digits,
+        # coefficient axes of sites s..s+j-1) before step j
+        for j in range(k):
+            cur = cur.reshape(d, d ** (k - 1 - j), d, -1).transpose(0, 2, 1, 3).reshape(d * d, -1)
+            cur = cur.T @ basis
         np.multiply(cur.reshape(-1), signs[c % 2], out=out[block])
     return out.reshape((d * d,) * n)
 

@@ -324,9 +324,9 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
 # ghz(12), a real state, is 3.0 MiB with it (5.6 MiB as complex128).  It also
 # bounds the trailing block `basis.bloch_coefficients` contracts at once,
 # d^(2(n-s)) float64 entries after s leading sites are split off: on a
-# 10-qubit graph state and Haar states at (11, 2), (5, 5) and (6, 3), 2^18
-# took up to 2.5 times as long there, 2^14 up to 1.7 times and 2^12 2.7 to
-# 21 times.
+# 10-qubit graph state and Haar states at (11, 2), (5, 5) and (6, 3),
+# `basis.weight_distribution_basis` took up to 2.0 times as long with 2^18,
+# up to 1.8 times with 2^14 and 2.9 to 18 times with 2^12 (median of 7).
 _STACK_ENTRIES = 2**16
 
 

@@ -207,11 +207,15 @@ def test_weight_distribution_basis_equals_bitmask_sums(state):
         assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), S
 
 
-def _graph10_basis_route_peak():
-    """tracemalloc peak of weight_distribution_basis on a seeded 10-qubit graph state."""
+def _graph10():
+    """A seeded 10-qubit graph state."""
     rng = random.Random(5)
     edges = [(u, v, rng.randrange(2)) for u in range(10) for v in range(u + 1, 10)]
-    state = graph_state(GraphSpec.from_edges(10, 2, edges))
+    return graph_state(GraphSpec.from_edges(10, 2, edges))
+
+
+def _basis_route_peak(state):
+    """tracemalloc peak of weight_distribution_basis on `state`."""
     tracemalloc.start()
     try:
         weight_distribution_basis(state)
@@ -223,14 +227,17 @@ def _graph10_basis_route_peak():
 def test_basis_route_peak_is_under_two_real_coefficient_arrays():
     # the float64 coefficients take 8 MiB; each trailing block is 2^16
     # entries, and a complex d^(2n) density tensor, 16 MiB, is never formed
-    assert _graph10_basis_route_peak() <= 2 * 8 * 2**20
+    assert _basis_route_peak(_graph10()) <= 2 * 8 * 2**20
 
 
 def test_basis_route_folds_the_squares_in_place():
-    # 1.5 coefficient arrays: the 8 MiB of coefficients, a few float64 blocks
-    # of 2^16 entries, 0.5 MiB each, and the two sign tables; folding the
-    # squares out of place took 6 MiB more
-    assert _graph10_basis_route_peak() <= 1.5 * 8 * 2**20
+    # the float64 coefficients, squared and folded in place, and while they
+    # are contracted two float64 blocks of 2^16 entries, 0.5 MiB each, the
+    # two int8 sign tables and a little more: within three blocks.  Float64
+    # sign tables took 0.9 MiB more, a per-block interleaving copy 0.5 MiB,
+    # folding the squares out of place 6 MiB at 10 qubits
+    for state, coeff_mib in ((_graph10(), 8), (_random_state(11, 2, 0), 32)):
+        assert _basis_route_peak(state) <= (coeff_mib + 3 * 0.5) * 2**20, state.n
 
 
 # --- the real form: r_alpha = (-1)^floor(k/2) tr((Re rho + Im rho) h_alpha)
