@@ -327,7 +327,16 @@ def weight_distribution(state: StateVector) -> WeightDistribution:
 # 10-qubit graph state and Haar states at (11, 2), (5, 5) and (6, 3),
 # `basis.weight_distribution_basis` took up to 2.0 times as long with 2^18,
 # up to 1.8 times with 2^14 and 2.9 to 18 times with 2^12 (median of 7).
+# glibc serves a request of 128 KiB or more with a fresh mmap until a block
+# that large is freed, which raises that threshold to the freed block's size
+# (the dynamic mmap threshold of mallopt(3)); one block just above the
+# largest stack temporary is freed here, so the stacks are served from the
+# heap even in a process that has freed nothing large, where verifying a
+# 10-qubit graph state otherwise took about 1.65 times as long, faulting in
+# fresh pages for every stack (13.6-14.7 against 8.1-9.0 ms, fastest of 40,
+# on a 2-core host).
 _STACK_ENTRIES = 2**16
+np.empty(16 * _STACK_ENTRIES + 4096, dtype=np.uint8)
 
 
 def reduction_stacks(
@@ -439,7 +448,11 @@ def _small_side_stacks(
                         held &= reach[masks ^ (1 << j)]
                     if held.any():
                         children.append(
-                            (masks[held] ^ (1 << j), _trace_digit(rho[held], j, state.d))
+                            (
+                                masks[held] ^ (1 << j),
+                                # a whole stack needs no select copy
+                                _trace_digit(rho if held.all() else rho[held], j, state.d),
+                            )
                         )
                 if not children:
                     break

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,64 @@ from ame.oracle import (
     ring_graph,
     search,
 )
-from ame.oracle.search import _uniform_cuts
+from ame.oracle.search import _GRAPH_CAP, _STATE_CAP, _cut_table, _uniform_cuts
+
+
+def _uniform_cuts_by_loop(adj, d):
+    """The per-cut kernel test on a (B, n, n) adjacency stack, the reference.
+
+    A cut T passes when G x != 0 mod d for every nonzero x in Z_d^|T|, with
+    G = adj[Tbar, T]; each cut reads only the candidates earlier cuts kept.
+    """
+    n = adj.shape[-1]
+    k = n // 2
+    xs = np.indices((d,) * k).reshape(k, -1)[:, 1:]
+    alive = np.ones(len(adj), dtype=bool)
+    for cut in itertools.combinations(range(n), k):
+        rest = [j for j in range(n) if j not in cut]
+        live = np.flatnonzero(alive)
+        images = adj[live][:, rest][:, :, cut] @ xs % d
+        alive[live] = images.any(axis=1).all(axis=1)
+    return alive
+
+
+def _candidates(n, d):
+    """Every candidate's edge-weight row, in search order, and its adjacency."""
+    upper = np.triu_indices(n, 1)
+    weights = np.array(list(itertools.product(range(d), repeat=len(upper[0]))))
+    adj = np.zeros((len(weights), n, n), dtype=np.int64)
+    adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = weights
+    return weights, adj
+
+
+def _admitted_shapes():
+    """Every (n, d) the search caps admit."""
+    return [
+        (n, d)
+        for n in range(2, _STATE_CAP.bit_length() + 1)
+        for d in range(2, _STATE_CAP + 1)
+        if d**n <= _STATE_CAP and d ** (n * (n - 1) // 2) <= _GRAPH_CAP
+    ]
+
+
+def _injective_count(n, d):
+    """(n-k) x k matrices over Z_d, k = floor(n/2), with no nonzero kernel vector.
+
+    By the CRT, the product over p^e || d of the count over Z_{p^e}: a matrix
+    is injective there exactly when it has full column rank mod p, so
+    p^((e-1)k(n-k)) lifts of each of the prod_{i<k} (p^(n-k) - p^i) such
+    matrices over F_p.
+    """
+    k = n // 2
+    count, p = 1, 2
+    while d > 1:
+        e = 0
+        while d % p == 0:
+            d, e = d // p, e + 1
+        if e:
+            count *= p ** ((e - 1) * k * (n - k)) * math.prod(p ** (n - k) - p**i for i in range(k))
+        p += 1
+    return count
 
 
 def test_two_qubit_search_finds_only_the_edge():
@@ -74,23 +132,38 @@ def test_search_hit_counts_frozen_and_every_hit_verified(n, d, count):
 
 @pytest.mark.parametrize("n, d", [(4, 2), (4, 3), (3, 4), (3, 6), (4, 4)])
 def test_kernel_test_matches_dense_check_on_every_candidate(n, d):
-    upper = np.triu_indices(n, 1)
-    weights = np.array(list(itertools.product(range(d), repeat=len(upper[0]))))
-    adj = np.zeros((len(weights), n, n), dtype=np.int64)
-    adj[:, upper[0], upper[1]] = adj[:, upper[1], upper[0]] = weights
+    weights, adj = _candidates(n, d)
     dense = [k_uniformity(graph_state(GraphSpec(n, d, a)), n // 2).uniform for a in adj]
-    assert _uniform_cuts(adj, d).tolist() == dense
+    assert _uniform_cuts(weights, n, d).tolist() == dense
+
+
+@pytest.mark.parametrize("n, d", [(6, 2), (5, 3), (4, 4), (3, 6)])
+def test_kernel_table_matches_the_per_cut_loop_on_every_candidate(n, d):
+    weights, adj = _candidates(n, d)
+    assert np.array_equal(_uniform_cuts(weights, n, d), _uniform_cuts_by_loop(adj, d))
+
+
+def test_kernel_table_counts_the_injective_blocks_at_every_admitted_shape():
+    shapes = _admitted_shapes()
+    assert (7, 2) in shapes and (5, 5) in shapes and (2, 100) in shapes
+    counts = {(n, d): int(_cut_table(n, d)[0].sum()) for n, d in shapes}
+    assert counts == {(n, d): _injective_count(n, d) for n, d in shapes}
+    named = {(6, 2): 168, (4, 10): 2880, (5, 5): 14880, (3, 21): 384, (2, 100): 40}
+    assert {s: counts[s] for s in named} == named
 
 
 def test_search_forms_no_amplitude_batches():
-    # the (4, 6) corner has 46,656 candidates of 1,296 amplitudes and no hit
-    tracemalloc.start()
-    try:
-        assert find_ame_graph(4, 6) == []
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # (4, 6) and (4, 10) have 46,656 and 10^6 candidates of 1,296 and 10^4
+    # amplitudes, and no hit: each batch is an edge-weight array, its cut
+    # codes and their verdicts
+    for n, d in [(4, 6), (4, 10)]:
+        tracemalloc.start()
+        try:
+            assert find_ame_graph(n, d) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (n, d)
 
 
 @pytest.mark.parametrize("n, d, survivors", [(4, 3, 120), (5, 2, 132)])
