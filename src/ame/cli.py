@@ -88,8 +88,9 @@ def _emit(fmt: str, doc: dict, md: list[Part], csv: list[Part]) -> None:
 
 
 # Per-system caps.  On a 2-core host (Python 3.11, numpy 2.4) `existence.check`
-# at d = 2 takes 0.04 s at n = 512, 1.3 s at n = 1500 and 3.0 s at n = 2000
-# (roughly n^3); the bit length of d**n bounds the integers the solve carries.
+# at d = 2 takes 0.03-0.05 s at n = 512, 0.9-1.3 s at n = 1500 and 2.2-2.8 s at
+# n = 2000 (roughly n^3); `check --n 512 --d 10` takes 0.4 s as a process.  The
+# bit length of d**n bounds the integers the solve carries.
 MAX_N = 512
 MAX_BITS = 2048
 
@@ -107,9 +108,10 @@ def _check_size(n: int, d: int) -> None:
 # Work cap of one request.  A unit is about one integer product of the forward
 # substitution on a system whose d**n has at most 1024 bits; longer integers
 # cost proportionally more.  On a 2-core host the largest requests the cap
-# admits take 3-5 s: `table --d 2 --n-max 512`, `table --d 10 --n-max 454` and
-# `solve --n 284 --d 2 --show-inverse`.  `scan` stops each point at its first
-# negative row, so its corner `scan --d-max 10 --n-max 245` takes under 1 s.
+# admits take 2.5-4 s as processes: `table --d 2 --n-min 2 --n-max 512`,
+# `table --d 10 --n-min 2 --n-max 454` and `solve --n 284 --d 2 --show-inverse`.
+# `scan` stops each point at its first negative row, so its corner
+# `scan --d-max 10 --n-max 245` takes under 1 s.
 MAX_WORK = 2**24
 
 

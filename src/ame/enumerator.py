@@ -10,10 +10,13 @@ C(m+l, m+j) scaled by powers of d on its rows and columns, so one scale rule
 gives their entries and an integer forward substitution that never divides,
 and each explicit inverse is its system's entries times a sign and a power of
 d; entries and substitution step one Pascal row to the next by additions
-instead of computing a binomial per entry.  The substitution yields
-its integer rows one at a time, each with the sign of its solved value, so a
-caller that needs only signs can stop early; `solve` scales them to
-`Fraction`s.  The hypergeometric closed forms for the same
+instead of computing a binomial per entry.  The substitution step is written
+once; it yields integer rows one at a time, each with the sign of its solved
+value, so a caller that needs only signs can stop early, and `solve` scales
+them to `Fraction`s.  `solve_traces` feeds one Pascal walk to both flavors'
+steps, so the shared block is stepped once for two right-hand sides; each
+right-hand side and each scaling steps its power of d instead of raising d
+afresh per row.  The hypergeometric closed forms for the same
 quantities run on an independent code path: one integer sweep of Gauss's
 contiguous relation gives the terminating 2F1 for every i of an (n, d), and
 each closed-form body is formed from it once, as one `Fraction` per i, which
@@ -30,9 +33,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
-from .exact import binomial
+from .exact import as_index, binomial
 
 Flavor = Literal["A", "B"]
 
@@ -45,10 +48,13 @@ class SystemParams:
     d: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n={self.n}")
-        if self.d < 2:
-            raise ValueError(f"need d >= 2, got d={self.d}")
+        # a numpy integer would run the solve in fixed width, and a float
+        # equal to an integer would share its cache entries
+        for field in ("n", "d"):
+            value = as_index(getattr(self, field), field)
+            if value < 2:
+                raise ValueError(f"need {field} >= 2, got {field}={value}")
+            object.__setattr__(self, field, value)
 
     @property
     def m(self) -> int:
@@ -98,12 +104,18 @@ class TriangularSystem:
             raise ValueError(f"flavor must be 'A' or 'B', got {self.flavor!r}")
 
     def _scaled_rhs(self) -> Iterator[int]:
-        """Row l of the right-hand side times its row factor d^(a*m+l): an integer."""
+        """Row l of the right-hand side times its row factor d^(a*m+l): an integer.
+
+        That is d^((a+1)m+2l-n) - d^((a-1)m); n <= 2m+1, so both exponents
+        are nonnegative.  The constant is formed once and the power is
+        stepped by d^2 from row to row.
+        """
         n, d, m = self.params.n, self.params.d, self.params.m
         a, _ = _SCALE[self.flavor]
-        # n <= 2m+1, so both exponents are nonnegative
-        for l in range(1, self.size + 1):
-            yield d ** ((a + 1) * m + 2 * l - n) - d ** ((a - 1) * m)
+        const, power = d ** ((a - 1) * m), d ** ((a + 1) * m + 2 - n)
+        for _ in range(self.size):
+            yield power - const
+            power *= d * d
 
     @cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -124,26 +136,45 @@ class TriangularSystem:
         a, _ = _SCALE[self.flavor]
         return tuple(Fraction(t, d ** (a * m + l)) for l, t in enumerate(self._scaled_rhs(), 1))
 
+    def _step(self) -> Callable[[int, list[int]], int]:
+        """The forward-substitution step: t_l and Pascal row l in, z_l out.
+
+        z_l = t_l - sum_j C(m+l, m+j) z_j, with t_l the scaled right-hand
+        side; the step keeps the earlier z, so it takes the rows of one
+        `_pascal_rows` walk in order.  The row ends in the diagonal 1, which
+        has no z yet; the pairing of row and z stops there.
+        """
+        zs: list[int] = []
+
+        def step(t: int, row: list[int]) -> int:
+            z = t - sum(map(mul, row, zs))
+            zs.append(z)
+            return z
+
+        return step
+
     def rows(self) -> Iterator[int]:
         """z_l on the unit-diagonal Pascal block, in integers, one row at a time.
 
         x_l = d^(b*l) z_l, so z_l has the sign of the solved value.  Each
         z_l costs l additions to step the Pascal row (`_pascal_rows`) and one
-        dot product with the earlier z; nothing is computed past the row the
-        caller stops at.
+        dot product with the earlier z; the step is mapped lazily over the
+        walk, so nothing is computed past the row the caller stops at.
         """
-        zs: list[int] = []
-        for t, row in zip(self._scaled_rhs(), _pascal_rows(self.params.m, self.size)):
-            # row ends in the diagonal 1, which has no z yet; map stops there
-            z = t - sum(map(mul, row, zs))
-            zs.append(z)
-            yield z
+        return map(self._step(), self._scaled_rhs(), _pascal_rows(self.params.m, self.size))
+
+    def _scaled(self, zs: Iterable[int]) -> tuple[Fraction, ...]:
+        """x_j = d^(b*j) z_j as `Fraction`s, the power of d stepped by d^b."""
+        powers = accumulate(repeat(self.params.d ** _SCALE[self.flavor][1]), mul)
+        return tuple(map(Fraction, map(mul, powers, zs)))
 
     def solve(self) -> tuple[Fraction, ...]:
-        """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j."""
-        _, b = _SCALE[self.flavor]
-        d = self.params.d
-        return tuple(Fraction(d ** (b * j) * z) for j, z in enumerate(self.rows(), 1))
+        """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j.
+
+        One walk of this system's own; `solve_traces` shares one walk
+        between both flavors instead.
+        """
+        return self._scaled(self.rows())
 
 
 def _pascal_rows(m: int, size: int) -> Iterator[list[int]]:
@@ -214,13 +245,20 @@ class WeightTraceProfile:
 def solve_traces(params: SystemParams) -> WeightTraceProfile:
     """Solve both full-size triangular systems by forward substitution.
 
-    This path never evaluates the hypergeometric closed forms; the closed
-    forms are the independent route the tests compare against.
+    Both flavors share one Pascal block, so one `_pascal_rows` walk feeds
+    the flavor-A and the flavor-B substitution step row by row; each keeps
+    its own right-hand side and its own z.  This path never evaluates the
+    hypergeometric closed forms; the closed forms are the independent route
+    the tests compare against.
     """
-    xs = build_system(params, params.i_max, "A").solve()
-    ys = build_system(params, params.i_max, "B").solve()
+    sys_a, sys_b = (build_system(params, params.i_max, flavor) for flavor in ("A", "B"))
+    step_a, step_b = sys_a._step(), sys_b._step()
+    walk = zip(sys_a._scaled_rhs(), sys_b._scaled_rhs(), _pascal_rows(params.m, params.i_max))
+    za, zb = zip(*[(step_a(ta, row), step_b(tb, row)) for ta, tb, row in walk])
     return WeightTraceProfile(
-        params=params, traces=dict(enumerate(xs, 1)), eigenvalues=dict(enumerate(ys, 1))
+        params=params,
+        traces=dict(enumerate(sys_a._scaled(za), 1)),
+        eigenvalues=dict(enumerate(sys_b._scaled(zb), 1)),
     )
 
 

@@ -2,13 +2,29 @@
 
 Every algebraic quantity in this package is a ``fractions.Fraction``;
 nothing on that side ever touches floating point, so table regressions can
-demand bit-exact equality.
+demand bit-exact equality.  `as_index` turns an integer input, numpy integers
+included, into a Python int and refuses anything else, so neither a float nor
+fixed-width arithmetic reaches that side.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+
+
+def as_index(value, what: str) -> int:
+    """`value` as a Python int, if it is an integer (int, bool or numpy integer).
+
+    A float, a string or anything else without `__index__` raises ValueError
+    naming `what` and the value, rather than being truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
 
 def binomial(n: int, k: int) -> int:
     """C(n, k), returning 0 whenever k is out of range.

@@ -16,26 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..exact import as_index
+
 _NORM_TOL = 1e-12
 FILE_NORM_TOL = 1e-9
-
-
-def as_index(value, what: str) -> int:
-    """`value` as a Python int, if it is an integer (int, bool or numpy integer).
-
-    A float, a string or anything else without `__index__` raises ValueError
-    naming `what` and the value, rather than being truncated or parsed.
-    """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

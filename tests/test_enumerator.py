@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +36,17 @@ def test_params_validation():
         SystemParams(n=4, d=1)
     p = SystemParams(n=9, d=3)
     assert p.m == 4 and p.i_max == 5
+
+
+def test_params_take_integers_through_operator_index():
+    p = SystemParams(np.int64(60), np.int64(2))
+    assert p == SystemParams(60, 2)
+    assert type(p.n) is int and type(p.d) is int
+    # in int64 the solve would overflow from i = 9 on
+    assert solve_traces(p) == solve_traces(SystemParams(60, 2))
+    for n, d, field in ((8.0, 2, "n"), (60, 2.0, "d"), ("8", 2, "n"), (8, None, "d")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SystemParams(n, d)
 
 
 def test_system_a_one_by_one():
@@ -162,6 +174,53 @@ def test_solver_equals_closed_form_off_the_grid(point):
         assert profile.eigenvalues[i] == eigenvalue_closed_form(params, i)
         for value in (profile.traces[i], profile.eigenvalues[i]):
             assert type(value) is Fraction and value.denominator == 1
+
+
+def test_one_walk_equals_each_flavors_own_solve():
+    for params in GRID + [SystemParams(319, 2), SystemParams(223, 7), SystemParams(151, 10)]:
+        profile = solve_traces(params)
+        for flavor, values in (("A", profile.traces), ("B", profile.eigenvalues)):
+            assert list(values) == list(range(1, params.i_max + 1))
+            assert tuple(values.values()) == build_system(params, params.i_max, flavor).solve()
+
+
+def test_solve_traces_walks_the_pascal_block_once(monkeypatch):
+    walks = []
+    pascal_rows = enumerator._pascal_rows
+
+    def counted(m, size):
+        walks.append((m, size))
+        return pascal_rows(m, size)
+
+    monkeypatch.setattr(enumerator, "_pascal_rows", counted)
+    params = SystemParams(41, 3)
+    profile = solve_traces(params)
+    assert walks == [(params.m, params.i_max)]
+    for i in range(1, params.i_max + 1):
+        assert profile.traces[i] == trace_closed_form(params, i)
+        assert profile.eigenvalues[i] == eigenvalue_closed_form(params, i)
+
+
+def _purities(params, traces):
+    """pi(s) = d^-s sum_w C(s, w) d^-w t_w, with t_0 = 1, t_w = 0 for 1 <= w <= m."""
+    n, d, m = params.n, params.d, params.m
+    t = [Fraction(1)] + [Fraction(0)] * m + [traces[i] for i in range(1, params.i_max + 1)]
+    return [
+        sum(math.comb(s, w) * Fraction(d) ** -w * t[w] for w in range(s + 1)) / d**s
+        for s in range(n + 1)
+    ]
+
+
+def test_both_routes_give_exactly_the_ame_purities():
+    # the inverse of the weight transform: the invariants of either route
+    # give tr rho_S^2 = d^-min(|S|, n-|S|) for every subset size
+    for d in range(2, 8):
+        for n in range(2, 41):
+            params = SystemParams(n, d)
+            ideal = [Fraction(1, d ** min(s, n - s)) for s in range(n + 1)]
+            closed = {i: trace_closed_form(params, i) for i in range(1, params.i_max + 1)}
+            assert _purities(params, closed) == ideal
+            assert _purities(params, solve_traces(params).traces) == ideal
 
 
 def test_trace_factors_through_eigenvalue():

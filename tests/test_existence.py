@@ -98,8 +98,9 @@ def test_scan_agrees_with_check_on_the_grid():
 
 
 def test_scan_reads_no_row_past_the_witness(monkeypatch):
-    read, stepped = [], []
+    read, stepped, rhs = [], [], []
     rows, pascal_rows = TriangularSystem.rows, enumerator._pascal_rows
+    scaled_rhs = TriangularSystem._scaled_rhs
 
     def counted(self):
         for z in rows(self):
@@ -111,17 +112,25 @@ def test_scan_reads_no_row_past_the_witness(monkeypatch):
             stepped.append(len(row))
             yield row
 
+    def counted_rhs(self):
+        for t in scaled_rhs(self):
+            rhs.append(t)
+            yield t
+
     def forbidden(self):
         raise AssertionError("scan solved a system")
 
     monkeypatch.setattr(TriangularSystem, "rows", counted)
     monkeypatch.setattr(TriangularSystem, "solve", forbidden)
     monkeypatch.setattr(enumerator, "_pascal_rows", counted_pascal)
+    monkeypatch.setattr(TriangularSystem, "_scaled_rhs", counted_rhs)
     [verdict] = scan((2, 2), (60, 60))
     assert verdict.ruled_out and verdict.witness_i == 2
-    # i_max is 30, but rows 1 and 2 decide the point and no later row is formed
+    # i_max is 30, but rows 1 and 2 decide the point and no later row, Pascal
+    # row or right-hand side is formed
     assert read == ["A", "A"]
     assert stepped == [1, 2]
+    assert len(rhs) == 2
 
 
 def test_first_trace_is_positive():
