@@ -13,8 +13,13 @@ check the summed work of every system they will solve against `MAX_WORK` in
 `_check_work`.  They then build their values once and write them through the
 one output path `_emit`: JSON of the raw values, or the md or csv layout,
 whose tables hold raw rows and get their cells from `_cell` only when that
-layout is the one written.  `verify` checks the state against `DESK_SCALE`
-and its estimated work against `MAX_VERIFY_WORK` before any reduction.
+layout is the one written.  The JSON comes from this module's own writer
+`_json`, byte-identical to the stdlib's `indent=2` text: the stdlib uses its C
+encoder only when no indent is asked for, and otherwise walks the document in
+pure Python.  `verify` checks the state against `DESK_SCALE` and its estimated
+work against `MAX_VERIFY_WORK` before any reduction.  Only `verify` and
+`find-graph` import the numpy oracle, inside their functions, so the exact
+subcommands and `--help` never load numpy.
 
 The argparse grammar is built once, when this module is imported, and every
 `main` call parses with it.  `solve` builds the one system it prints and
@@ -31,7 +36,6 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-from . import oracle
 from .enumerator import (
     SystemParams,
     build_system,
@@ -41,21 +45,77 @@ from .enumerator import (
 from .existence import check, i2_counterexamples, scan
 
 
-def fmt_exact(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+_json_str = json.encoder.encode_basestring_ascii
 
 
-def json_exact(x: Fraction) -> dict[str, str]:
-    return {"numerator": str(x.numerator), "denominator": str(x.denominator)}
+def _json(doc) -> str:
+    """`doc` as JSON, byte for byte the stdlib encoder's text at `indent=2`.
+
+    Each `Fraction` is written as a {"numerator": "p", "denominator": "q"}
+    object of decimal strings.  Dicts take str or int keys; lists, tuples,
+    str, int, bool and None are written as the stdlib writes them.  Any other
+    type raises TypeError, floats included: an exact document holds none.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def write(value, nl: str) -> None:
+        kind = type(value)
+        if kind is Fraction:
+            put(
+                f'{{{nl}  "numerator": "{value.numerator}",'
+                f'{nl}  "denominator": "{value.denominator}"{nl}}}'
+            )
+        elif kind is int:
+            put(int.__repr__(value))
+        elif kind is str:
+            put(_json_str(value))
+        elif kind is dict:
+            if not value:
+                put("{}")
+                return
+            inner = nl + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if type(key) is str:
+                    put(sep + _json_str(key) + ": ")
+                elif type(key) is int:
+                    put(f'{sep}"{int.__repr__(key)}": ')
+                else:
+                    raise TypeError(f"JSON keys must be str or int, not {type(key).__name__}")
+                write(item, inner)
+                sep = "," + inner
+            put(nl + "}")
+        elif kind is list or kind is tuple:
+            if not value:
+                put("[]")
+                return
+            inner = nl + "  "
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(nl + "]")
+        elif kind is bool:
+            put("true" if value else "false")
+        elif value is None:
+            put("null")
+        else:
+            raise TypeError(f"an exact JSON document holds no {kind.__name__}")
+
+    write(doc, "\n")
+    return "".join(parts)
+
+
+# md/csv cell text by type; anything else, Fractions included, is `str`:
+# a bare integer when the denominator is 1, otherwise "p/q".
+_CELL = {bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: ""}
 
 
 def _cell(value) -> str:
     """One md/csv cell: exact Fractions, lowercase booleans, None left blank."""
-    if isinstance(value, Fraction):
-        return fmt_exact(value)
-    if isinstance(value, bool):
-        return str(value).lower()
-    return "" if value is None else str(value)
+    return _CELL.get(type(value), str)(value)
 
 
 def _md_table(header: list[str], rows: Iterable[Iterable]) -> list[str]:
@@ -78,7 +138,7 @@ def _emit(fmt: str, doc: dict, md: list[Part], csv: list[Part]) -> None:
     be lazy iterables, are never read.
     """
     if fmt == "json":
-        print(json.dumps(doc, indent=2, default=json_exact))
+        print(_json(doc))
         return
     table = _md_table if fmt == "md" else _csv
     lines: list[str] = []
@@ -108,8 +168,9 @@ def _check_size(n: int, d: int) -> None:
 # Work cap of one request.  A unit is about one integer product of the forward
 # substitution on a system whose d**n has at most 1024 bits; longer integers
 # cost proportionally more.  On a 2-core host the largest requests the cap
-# admits take 2.5-4 s as processes: `table --d 2 --n-min 2 --n-max 512`,
-# `table --d 10 --n-min 2 --n-max 454` and `solve --n 284 --d 2 --show-inverse`.
+# admits take 2.2-3.6 s as processes: `table --d 2 --n-min 2 --n-max 512`
+# 2.2-2.6 s, `table --d 10 --n-min 2 --n-max 454` 2.3-2.7 s, and
+# `solve --n 284 --d 2 --show-inverse` 3.2-3.5 s in md and 3.0-3.6 s in json.
 # `scan` stops each point at its first negative row, so its corner
 # `scan --d-max 10 --n-max 245` takes under 1 s.
 MAX_WORK = 2**24
@@ -350,6 +411,8 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
     before any reduction.  Every row comes from one small-side sweep,
     `oracle.weights.verification_sweep`, which reads each reduction once.
     """
+    from . import oracle
+
     if state.n < 2:
         raise ValueError("verification needs at least two parties")
     oracle.weights.check_desk_scale(state.n, state.d)
@@ -389,6 +452,8 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle
+
     source = args.state
     if source.startswith("builtin:"):
         state = oracle.builtin_state(source[len("builtin:") :])
@@ -408,6 +473,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_find_graph(args: argparse.Namespace) -> int:
+    from . import oracle
+
     specs = oracle.find_ame_graph(args.n, args.d, limit=args.limit)
     if not specs:
         print("no AME graph state found")
