@@ -148,9 +148,9 @@ def _emit(fmt: str, doc: dict, md: list[Part], csv: list[Part]) -> None:
 
 
 # Per-system caps.  On a 2-core host (Python 3.11, numpy 2.4) `existence.check`
-# at d = 2 takes 0.03-0.05 s at n = 512, 0.9-1.3 s at n = 1500 and 2.2-2.8 s at
-# n = 2000 (roughly n^3); `check --n 512 --d 10` takes 0.4 s as a process.  The
-# bit length of d**n bounds the integers the solve carries.
+# at d = 2 takes 0.008-0.009 s at n = 512, 0.22-0.30 s at n = 1500 and 0.6-0.8 s
+# at n = 2000 (roughly n^3); `check --n 512 --d 10` takes 0.08-0.11 s as a
+# process.  The bit length of d**n bounds the integers the solve carries.
 MAX_N = 512
 MAX_BITS = 2048
 

@@ -10,11 +10,12 @@ C(m+l, m+j) scaled by powers of d on its rows and columns, so one scale rule
 gives their entries and an integer forward substitution that never divides,
 and each explicit inverse is its system's entries times a sign and a power of
 d; entries and substitution step one Pascal row to the next by additions
-instead of computing a binomial per entry.  The substitution step is written
-once; it yields integer rows one at a time, each with the sign of its solved
-value, so a caller that needs only signs can stop early, and `solve` scales
-them to `Fraction`s.  `solve_traces` feeds one Pascal walk to both flavors'
-steps, so the shared block is stepped once for two right-hand sides; each
+instead of computing a binomial per entry.  The substitution yields integer
+rows one at a time, each with the sign of its solved value, so a caller that
+needs only signs can stop early, and `solve` scales them to `Fraction`s.
+Flavor A's scaled right-hand side is d^m times flavor B's, so its integer
+solution is d^m times flavor B's: `solve_traces` substitutes once, on the
+shorter flavor-B integers, and scales the result up to the traces.  Each
 right-hand side and each scaling steps its power of d instead of raising d
 afresh per row.  The hypergeometric closed forms for the same
 quantities run on an independent code path: one integer sweep of Gauss's
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal
 
 from .exact import as_index, binomial
 
@@ -136,32 +137,21 @@ class TriangularSystem:
         a, _ = _SCALE[self.flavor]
         return tuple(Fraction(t, d ** (a * m + l)) for l, t in enumerate(self._scaled_rhs(), 1))
 
-    def _step(self) -> Callable[[int, list[int]], int]:
-        """The forward-substitution step: t_l and Pascal row l in, z_l out.
-
-        z_l = t_l - sum_j C(m+l, m+j) z_j, with t_l the scaled right-hand
-        side; the step keeps the earlier z, so it takes the rows of one
-        `_pascal_rows` walk in order.  The row ends in the diagonal 1, which
-        has no z yet; the pairing of row and z stops there.
-        """
-        zs: list[int] = []
-
-        def step(t: int, row: list[int]) -> int:
-            z = t - sum(map(mul, row, zs))
-            zs.append(z)
-            return z
-
-        return step
-
     def rows(self) -> Iterator[int]:
         """z_l on the unit-diagonal Pascal block, in integers, one row at a time.
 
-        x_l = d^(b*l) z_l, so z_l has the sign of the solved value.  Each
-        z_l costs l additions to step the Pascal row (`_pascal_rows`) and one
-        dot product with the earlier z; the step is mapped lazily over the
-        walk, so nothing is computed past the row the caller stops at.
+        z_l = t_l - sum_j C(m+l, m+j) z_j, with t_l the scaled right-hand
+        side, and x_l = d^(b*l) z_l, so z_l has the sign of the solved value.
+        Each z_l costs l additions to step the Pascal row (`_pascal_rows`)
+        and one dot product with the earlier z; the row ends in the diagonal
+        1, which has no z yet, so the pairing of row and z stops there.  The
+        rows are yielded lazily, so nothing is computed past the row the
+        caller stops at.
         """
-        return map(self._step(), self._scaled_rhs(), _pascal_rows(self.params.m, self.size))
+        zs: list[int] = []
+        for t, row in zip(self._scaled_rhs(), _pascal_rows(self.params.m, self.size)):
+            zs.append(t - sum(map(mul, row, zs)))
+            yield zs[-1]
 
     def _scaled(self, zs: Iterable[int]) -> tuple[Fraction, ...]:
         """x_j = d^(b*j) z_j as `Fraction`s, the power of d stepped by d^b."""
@@ -171,8 +161,8 @@ class TriangularSystem:
     def solve(self) -> tuple[Fraction, ...]:
         """Solve in integers: z on the unit-diagonal Pascal block, then x_j = d^(b*j) z_j.
 
-        One walk of this system's own; `solve_traces` shares one walk
-        between both flavors instead.
+        One walk of this system's own; `solve_traces` walks flavor B only
+        and scales its z up to flavor A's instead.
         """
         return self._scaled(self.rows())
 
@@ -232,9 +222,9 @@ def explicit_inverse(system: TriangularSystem) -> tuple[tuple[Fraction, ...], ..
 class WeightTraceProfile:
     """Exact invariants indexed by i = 1..i_max (Bloch weight m+i).
 
-    traces[i] and eigenvalues[i] are related by the exact factor d^(m+i);
-    both are solved independently, so that relation is checkable rather than
-    built in.
+    traces[i] and eigenvalues[i] are related by the exact factor d^(m+i).
+    `solve_traces` derives both from one substitution, so tests check that
+    relation against the flavor-A system's own `solve`.
     """
 
     params: SystemParams
@@ -243,22 +233,22 @@ class WeightTraceProfile:
 
 
 def solve_traces(params: SystemParams) -> WeightTraceProfile:
-    """Solve both full-size triangular systems by forward substitution.
+    """Solve both full-size triangular systems by one forward substitution.
 
-    Both flavors share one Pascal block, so one `_pascal_rows` walk feeds
-    the flavor-A and the flavor-B substitution step row by row; each keeps
-    its own right-hand side and its own z.  This path never evaluates the
-    hypergeometric closed forms; the closed forms are the independent route
-    the tests compare against.
+    Both flavors share one Pascal block, and flavor A's scaled right-hand
+    side d^(3m+2l-n) - d^m is d^m times flavor B's d^(2m+2l-n) - 1, so
+    their integer solutions satisfy z_A = d^m z_B exactly.  Only the
+    flavor-B rows are walked; the eigenvalues are their z, and the traces
+    are flavor A's own scaling of d^m z, that is d^(m+j) z_j.  This path
+    never evaluates the hypergeometric closed forms; the closed forms are
+    the independent route the tests compare against.
     """
     sys_a, sys_b = (build_system(params, params.i_max, flavor) for flavor in ("A", "B"))
-    step_a, step_b = sys_a._step(), sys_b._step()
-    walk = zip(sys_a._scaled_rhs(), sys_b._scaled_rhs(), _pascal_rows(params.m, params.i_max))
-    za, zb = zip(*[(step_a(ta, row), step_b(tb, row)) for ta, tb, row in walk])
+    zs = list(sys_b.rows())
     return WeightTraceProfile(
         params=params,
-        traces=dict(enumerate(sys_a._scaled(za), 1)),
-        eigenvalues=dict(enumerate(sys_b._scaled(zb), 1)),
+        traces=dict(enumerate(sys_a._scaled(params.d**params.m * z for z in zs), 1)),
+        eigenvalues=dict(enumerate(sys_b._scaled(zs), 1)),
     )
 
 

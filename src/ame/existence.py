@@ -4,7 +4,7 @@ A strictly negative tr(P_{m+i}^2) is impossible for a genuine state, so any
 negative solved trace rules the pair (n, d) out.  Positivity of every trace
 is necessary but never sufficient: the seven-qubit case passes every check
 here yet no state exists.  `check` solves every invariant of one point;
-`scan` decides each grid point from the signs of the flavor-A integer rows
+`scan` decides each grid point from the signs of the flavor-B integer rows
 alone, stopping at the first negative one, and keeps no profile.
 """
 
@@ -66,10 +66,11 @@ def scan(
 ) -> list[ExistenceVerdict]:
     """One verdict per grid point, d-major then n, both ranges inclusive.
 
-    Each point walks the integer rows of its full flavor-A system, whose
-    signs are those of the traces, and stops at the first negative one: the
-    witness.  No flavor-B system is solved and no `Fraction` is formed, so
-    the verdicts carry profile=None.  Empty ranges give an empty list.
+    Each point walks the integer rows of its full flavor-B system and stops
+    at the first negative one: the witness.  Flavor A's rows are d^m times
+    these, so the signs are those of the traces, and the flavor-B integers
+    are the shorter ones.  No `Fraction` is formed, so the verdicts carry
+    profile=None.  Empty ranges give an empty list.
     Points are independent, so the scan is deterministic and byte-for-byte
     repeatable.
     """
@@ -80,7 +81,7 @@ def scan(
     if d_lo < 2 or n_lo < 2:
         raise ValueError(f"grid must start at n >= 2 and d >= 2, got n>={n_lo}, d>={d_lo}")
     grid = (SystemParams(n=n, d=d) for d in range(d_lo, d_hi + 1) for n in range(n_lo, n_hi + 1))
-    return [_verdict(p, build_system(p, p.i_max, "A").rows(), None) for p in grid]
+    return [_verdict(p, build_system(p, p.i_max, "B").rows(), None) for p in grid]
 
 
 def i2_counterexamples(verdicts: Iterable[ExistenceVerdict]) -> list[SystemParams]:

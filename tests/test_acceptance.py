@@ -122,7 +122,11 @@ def test_04_factor_relation():
     with _criterion(4, "trace = d^(m+i) * eigenvalue exactly on the full grid"):
         for params in GRID:
             profile = _profile(params)
+            # solve_traces derives both from one substitution, so the traces
+            # are checked against the flavor-A system's own solve
+            own_traces = build_system(params, params.i_max, "A").solve()
             for i in range(1, params.i_max + 1):
+                assert profile.traces[i] == own_traces[i - 1]
                 assert profile.eigenvalues[i] == eigenvalue_closed_form(params, i)
                 scale = Fraction(params.d) ** (params.m + i)
                 assert profile.traces[i] == scale * profile.eigenvalues[i]

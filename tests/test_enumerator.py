@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import ame.exact
 from ame import enumerator
+from ame.cli import _check_size
 from ame.enumerator import (
     SystemParams,
     TriangularSystem,
@@ -176,12 +177,53 @@ def test_solver_equals_closed_form_off_the_grid(point):
             assert type(value) is Fraction and value.denominator == 1
 
 
+DEEP = [SystemParams(319, 2), SystemParams(223, 7), SystemParams(151, 10)]
+
+
+def _assert_one_walk_is_each_flavors_own_solve(params):
+    profile = solve_traces(params)
+    for flavor, values in (("A", profile.traces), ("B", profile.eigenvalues)):
+        assert list(values) == list(range(1, params.i_max + 1))
+        assert tuple(values.values()) == build_system(params, params.i_max, flavor).solve()
+
+
 def test_one_walk_equals_each_flavors_own_solve():
-    for params in GRID + [SystemParams(319, 2), SystemParams(223, 7), SystemParams(151, 10)]:
-        profile = solve_traces(params)
-        for flavor, values in (("A", profile.traces), ("B", profile.eigenvalues)):
-            assert list(values) == list(range(1, params.i_max + 1))
-            assert tuple(values.values()) == build_system(params, params.i_max, flavor).solve()
+    for params in GRID + DEEP:
+        _assert_one_walk_is_each_flavors_own_solve(params)
+
+
+# d**n stays under 1701 bits for n <= 512 and d <= 10, inside the CLI's caps
+@settings(max_examples=10, deadline=None)
+@given(st.integers(41, 512), st.integers(2, 10))
+def test_one_walk_equals_each_flavors_own_solve_off_the_grid(n, d):
+    _check_size(n, d)
+    _assert_one_walk_is_each_flavors_own_solve(SystemParams(n, d))
+
+
+def test_flavor_a_rhs_is_d_to_the_m_times_flavor_b():
+    # the identity that lets solve_traces substitute once: z_A = d^m z_B
+    for params in GRID + DEEP:
+        sys_a, sys_b = (build_system(params, params.i_max, f) for f in ("A", "B"))
+        scale = params.d**params.m
+        t_a, t_b = list(sys_a._scaled_rhs()), list(sys_b._scaled_rhs())
+        assert len(t_a) == len(t_b) == params.i_max
+        assert t_a == [scale * t for t in t_b]
+
+
+def test_solve_traces_walks_flavor_b_rows_once(monkeypatch):
+    walked = []
+    rows = TriangularSystem.rows
+
+    def counted(self):
+        walked.append(self.flavor)
+        return rows(self)
+
+    monkeypatch.setattr(TriangularSystem, "rows", counted)
+    params = SystemParams(41, 3)
+    profile = solve_traces(params)
+    assert walked == ["B"]
+    for i in range(1, params.i_max + 1):
+        assert profile.traces[i] == trace_closed_form(params, i)
 
 
 def test_solve_traces_walks_the_pascal_block_once(monkeypatch):

@@ -128,7 +128,7 @@ def test_scan_reads_no_row_past_the_witness(monkeypatch):
     assert verdict.ruled_out and verdict.witness_i == 2
     # i_max is 30, but rows 1 and 2 decide the point and no later row, Pascal
     # row or right-hand side is formed
-    assert read == ["A", "A"]
+    assert read == ["B", "B"]
     assert stepped == [1, 2]
     assert len(rhs) == 2
 
