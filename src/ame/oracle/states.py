@@ -36,6 +36,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        # a float n or d would fail deep in the reductions, and a numpy
+        # integer would be stored as one
+        for field in ("n", "d"):
+            object.__setattr__(self, field, as_index(getattr(self, field), field))
         if self.n < 1 or self.d < 2:
             raise ValueError(f"need n >= 1 and d >= 2, got n={self.n}, d={self.d}")
         amps = np.array(self.amplitudes, dtype=np.complex128)
@@ -109,6 +113,9 @@ class GraphSpec:
     adjacency: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        # a float n or d would fail later, in `graph_state`
+        for field in ("n", "d"):
+            object.__setattr__(self, field, as_index(getattr(self, field), field))
         if self.n < 1 or self.d < 2:
             raise ValueError(f"need n >= 1 and d >= 2, got n={self.n}, d={self.d}")
         adj = tuple(tuple(as_index(w, "edge weight") for w in row) for row in self.adjacency)

@@ -27,18 +27,13 @@ G = psi^dag psi = rho_R^T,
 Every reduction is formed in `reduction_stacks` or traced down from one
 formed there, with no validation; the stack's dtype follows the state's,
 float64 for a state with no nonzero imaginary part and complex128 otherwise.
-With m = floor(n/2), a keep-set of m or more parties is formed by one
-batched matmul per stack.  A smaller keep-set R has one source: its parent,
-R plus its lowest missing party j, which holds parties 0..j, so tracing
-party j out (`_trace_digit`) leaves every kept party at its own row digit.
-`_small_side_stacks` is given the m-party keep-sets to form, forms them and
-walks each down through every child, which reaches every keep-set below
-them once.  Each sweep names its tier; a `reduction_stacks` request below m
-forms the distinct m-party ancestors of its keep-sets, each keep-set's
-lowest missing parties filled up to m, and walks them down through its
-keep-sets' own ancestors alone, tracing nothing below them, so
-`partial_trace`, `subset_purity` and `k_uniformity` read the same matrices
-as the sweep.  `partial_trace` and
+`reduction_stacks` forms each keep-set it is asked for directly, of any
+size, by one batched matmul per stack.  The two sweeps form only the
+m = floor(n/2)-party tier there: in `_small_side_stacks` a smaller keep-set
+R has one source, its parent, R plus its lowest missing party j, which
+holds parties 0..j, so tracing party j out (`_trace_digit`) leaves every
+kept party at its own row digit, and walking each tier keep-set down through
+every child reaches every keep-set below the tier once.  `partial_trace` and
 `subset_purity` ask for one keep-set; `partial_trace` wraps its matrix in
 `DensityMatrix`, the validated container, which stores complex128 and whose
 `_validate` checks it: finite, Hermitian, unit trace, and positive
@@ -55,9 +50,9 @@ at odd n, and reads them unvalidated.  `verification_sweep` names the whole
 tier, since every m-set gives a k-uniformity deviation and a projector
 residual, and runs `_validate` on each stack.  Both fill the purity table
 (`_purity_table`) from each stack, one `_purities` call a stack.
-`k_uniformity` reads the stacks of every k-party keep-set, wraps each matrix
-in its own `DensityMatrix`, on the parties of the mask the stack yields with
-it, and reads the deviation from I/dim once a stack.
+`k_uniformity` reads the directly formed stacks of every k-party keep-set,
+wraps each matrix in its own `DensityMatrix`, on the parties of the mask the
+stack yields with it, and reads the deviation from I/dim once a stack.
 """
 
 from __future__ import annotations
@@ -156,10 +151,7 @@ class DensityMatrix:
 def partial_trace(state: StateVector, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on `keep` (ascending order), complement summed out.
 
-    It is the matrix `reduction_stacks` yields for `keep`: below floor(n/2)
-    parties, traced down from its floor(n/2)-party ancestor by
-    `_small_side_stacks`, bit for bit the one `weight_distribution` and
-    `verification_sweep` read.
+    It is the matrix `reduction_stacks` forms for `keep`.
     """
     sites = _validated_sites(state, keep)
     ((_, rho),) = reduction_stacks(state, [sum(1 << j for j in sites)])
@@ -194,8 +186,10 @@ def subset_purity(state: StateVector, sites: Iterable[int]) -> float:
     `sites` (`_pair_representatives`): the smaller side, and at |S| = n/2 the
     side holding party 0, the same one the purity table reads, with the same
     `_purities` and the same division by `_empty_purity`.  The value is
-    therefore the same for `sites` and its complement, and the same as the
-    table's, bit for bit.
+    therefore the same for `sites` and its complement.  The table's equals it
+    bit for bit where the representative has floor(n/2) parties, since both
+    form that reduction directly, and to rounding where it has fewer, since
+    the sweep traces those down.
     """
     S = _validated_sites(state, sites, allow_empty=True)
     mask = int(_pair_representatives(state.n)[sum(1 << j for j in S)])
@@ -350,34 +344,15 @@ def reduction_stacks(
     matrix runs `_validate` on it.  Every reduction in `oracle` is formed
     here or traced down by `_small_side_stacks` from one formed here.
 
-    A keep-set of r >= m = floor(n/2) parties is formed directly, in the
-    order given, a stack of them by one batched matmul of (k, d^r, d^(n-r))
-    amplitude matrices.  Below m each keep-set's ancestor, its lowest missing
-    parties filled up to m, is formed once, however many keep-sets share it;
-    `_small_side_stacks` walks the ancestors down, tracing only the keep-sets
-    asked for and their ancestors, so no matrix below d^r is formed; the
-    keep-sets come in the order of that walk, out of its level-r stacks, and
-    every caller reads the sweep's own matrices.
+    Every keep-set is formed directly, in the order given, a stack of them by
+    one batched matmul of (k, d^r, d^(n-r)) amplitude matrices.
 
     The stack's dtype follows the state's: a state with no nonzero imaginary
     part gives float64 reductions psi psi^T, any other state complex128 ones.
     """
-    n, d, m = state.n, state.d, state.n // 2
+    n, d = state.n, state.d
     keeps = np.asarray(keeps)
-    r = int(keeps[0]).bit_count()
-    if r < m:
-        # the keep-sets and every ancestor below the tier, each one's lowest
-        # missing party filled a level at a time: the walk traces only these
-        reach = np.zeros(2**n, dtype=bool)
-        tier = keeps
-        for _ in range(m - r):
-            reach[tier] = True
-            tier = tier | (tier + 1)
-        for masks, rho in _small_side_stacks(state, np.unique(tier), reach):
-            if rho.shape[-1] == d**r:
-                yield masks, rho
-        return
-    rows = d**r
+    rows = d ** int(keeps[0]).bit_count()
     cols = d**n // rows
     size = max(1, _STACK_ENTRIES // (rows * max(rows, cols)))
     tensor = state.site_tensor()
@@ -411,12 +386,10 @@ def _trace_digit(rho: np.ndarray, j: int, d: int) -> np.ndarray:
 
 
 def _small_side_stacks(
-    state: StateVector, tier: np.ndarray, reach: np.ndarray | None = None
+    state: StateVector, tier: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(masks, rho) stacks holding the reductions onto the m = floor(n/2)-party
-    keep-sets in `tier` and onto every nonempty keep-set below them, each once,
-    or, given `reach`, a bool table over the 2^n masks, onto those below them
-    that it marks.
+    keep-sets in `tier` and onto every nonempty keep-set below them, each once.
 
     A keep-set R below m has one parent, R plus its lowest missing party j,
     which holds parties 0..j, so tracing party j out (`_trace_digit`) keeps
@@ -427,9 +400,7 @@ def _small_side_stacks(
     `reduction_stacks`, and each stack of it is walked down a level at a
     time, so no more than two levels of it are held.  Every parent holds
     party 0, so the m-party pair representatives reach every keep-set below
-    m, as the whole tier does.  A child `reach` does not mark is neither
-    traced nor walked, so a marked keep-set is reached only if `reach` also
-    marks each of its ancestors below the tier.
+    m, as the whole tier does.
     """
     # at n = 1 the tier is the empty keep-set, whose reduction is never formed
     if state.n > 1:
@@ -444,8 +415,6 @@ def _small_side_stacks(
                 missing = ~masks & (masks + 1)
                 for j in range(int(missing.max()).bit_length() - 1):
                     held = missing > 1 << j
-                    if reach is not None:
-                        held &= reach[masks ^ (1 << j)]
                     if held.any():
                         children.append(
                             (

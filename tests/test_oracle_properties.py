@@ -195,8 +195,11 @@ def test_verification_sweep_residual_equals_the_standalone_maximum(shape):
     n, d, seed = shape
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
     residual = max(projector_property_residual(state, keep) for keep in _keep_sets(n))
-    assert verification_sweep(state)[1] == residual
-    assert run_verification(state, TOL)[-1][2] == f"max residual {residual:.3e}"
+    # the sweep traces its small sides down from the floor(n/2)-party tier,
+    # the standalone residual forms each directly: equal up to rounding
+    swept = verification_sweep(state)[1]
+    assert abs(swept - residual) <= 1e-14 * residual
+    assert run_verification(state, TOL)[-1][2] == f"max residual {swept:.3e}"
 
 
 @settings(max_examples=12, deadline=None)

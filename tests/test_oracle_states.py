@@ -29,6 +29,18 @@ def test_state_vector_validation():
         StateVector(0, 2, np.array([1.0]))
 
 
+@pytest.mark.parametrize("field", ["n", "d"])
+def test_state_vector_takes_n_and_d_as_integers(field):
+    # a float or str n or d used to be stored, and failed only once a
+    # reduction was asked for; a numpy integer was stored as one
+    amps = bell(2).amplitudes
+    for bad in (2.0, "2"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            StateVector(**{"n": 2, "d": 2, field: bad}, amplitudes=amps)
+    state = StateVector(**{"n": 2, "d": 2, field: np.int64(2)}, amplitudes=amps)
+    assert type(state.n) is int and type(state.d) is int
+
+
 @pytest.mark.parametrize(
     "bad", [math.nan, complex(0.0, math.nan), math.inf], ids=["nan", "imag-nan", "inf"]
 )
@@ -184,6 +196,19 @@ def test_graph_spec_takes_numpy_integers():
     assert all(type(w) is int for row in spec.adjacency for w in row)
     edges = [(np.int64(0), np.int64(1)), (np.int32(1), 2, np.int64(1))]
     assert GraphSpec.from_edges(3, 2, edges) == spec
+
+
+@pytest.mark.parametrize("field", ["n", "d"])
+def test_graph_spec_takes_n_and_d_as_integers(field):
+    # a float or str n or d used to be stored, and failed only in graph_state
+    adj = ((0, 1), (1, 0))
+    for bad in (2.0, "2"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GraphSpec(**{"n": 2, "d": 2, field: bad}, adjacency=adj)
+    spec = GraphSpec(**{"n": 2, "d": 2, field: np.int64(2)}, adjacency=adj)
+    assert type(spec.n) is int and type(spec.d) is int
+    want = graph_state(GraphSpec(2, 2, adj)).amplitudes
+    assert graph_state(spec).amplitudes.tobytes() == want.tobytes()
 
 
 def test_ring_graph_is_a_cycle():

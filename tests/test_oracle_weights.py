@@ -322,14 +322,18 @@ def test_paired_purities_equal_direct_purities(monkeypatch, state):
     weight_distribution(state)
     (table,) = tables
     assert table.shape == (2**n,)
+    reps = weights._pair_representatives(n)
     for mask, value in enumerate(table):
         want = subset_purity(state, [j for j in range(n) if mask >> j & 1])
         if 2 * mask.bit_count() == n:
             # the pair's two halves reduce different sides: equal up to rounding
             assert abs(value - want) <= 1e-12 * want, mask
-        else:
-            # both reduce the smaller side of the same bipartition
+        elif int(reps[mask]).bit_count() == n // 2:
+            # both form the floor(n/2)-party side of the bipartition directly
             assert value == want, mask
+        else:
+            # the table's is traced down from the tier, subset_purity's formed
+            assert abs(value - want) <= 1e-14 * want, mask
 
 
 @pytest.mark.parametrize("state", PAIRED_STATES.values(), ids=PAIRED_STATES.keys())
@@ -450,10 +454,8 @@ def test_reduction_stacks_equal_partial_traces(monkeypatch, state, entries):
         want = [sum(1 << j for j in R) for R in itertools.combinations(range(n), r)]
         stacks = list(weights.reduction_stacks(state, weights._masks_of_size(n, r)))
         masks = np.concatenate([m for m, _ in stacks]).tolist()
-        # each keep-set once; below floor(n/2) in the order of the descent
-        assert sorted(masks) == sorted(want)
-        if r >= n // 2:
-            assert masks == want
+        # each keep-set once, in the order given, at every size
+        assert masks == want
         rhos = np.concatenate([rho for _, rho in stacks])
         for mask, rho in zip(masks, rhos):
             R = [j for j in range(n) if mask >> j & 1]
@@ -503,9 +505,7 @@ def test_reduction_stacks_equal_an_einsum_partial_trace(monkeypatch, state, entr
         want = [sum(1 << j for j in R) for R in itertools.combinations(range(n), r)]
         stacks = list(weights.reduction_stacks(state, want))
         masks = np.concatenate([m for m, _ in stacks]).tolist()
-        assert sorted(masks) == sorted(want)
-        if r >= n // 2:
-            assert masks == want
+        assert masks == want
         rhos = np.concatenate([rho for _, rho in stacks])
         assert len(rhos) == len(want)
         for mask, rho in zip(masks, rhos):
@@ -577,73 +577,6 @@ def test_small_side_sweep_yields_each_keep_set_once(n, d):
     for R in keeps:
         rho = swept[sum(1 << j for j in R)]
         assert np.abs(rho - _tensordot_reduction(state, R)).max() <= 1e-14, R
-        assert partial_trace(state, R).entries.tobytes() == rho.tobytes(), R
-
-
-def _ancestor(t, m):
-    """The m-party keep-set a smaller keep-set t is traced down from."""
-    while t.bit_count() < m:
-        t |= t + 1
-    return t
-
-
-@pytest.mark.parametrize("n, d", [(9, 2), (10, 2), (7, 3), (13, 2)])
-def test_reduction_stacks_below_the_tier_yield_what_is_asked(n, d):
-    # a request below m walks the distinct m-party ancestors of its keep-sets
-    # and yields exactly those keep-sets, each the sweep's own matrix
-    state = _random_state(n, d, 300 + 10 * n + d)
-    m = n // 2
-    swept = {}
-    for masks, rho in weights._small_side_stacks(state, weights._masks_of_size(n, m)):
-        swept.update(zip(masks.tolist(), rho))
-    rng = np.random.default_rng(n + d)
-    for r in range(1, m):
-        tier = weights._masks_of_size(n, r)
-        # redraw until some asked keep-sets share an ancestor and some do not
-        while True:
-            asked = rng.permutation(tier)[: (len(tier) + 1) // 2]
-            ancestors = {_ancestor(t, m) for t in asked.tolist()}
-            if 1 < len(ancestors) < len(asked):
-                break
-        got = []
-        for masks, rho in weights.reduction_stacks(state, asked):
-            for mask, matrix in zip(masks.tolist(), rho):
-                got.append(mask)
-                assert matrix.tobytes() == swept[mask].tobytes(), (r, mask)
-        assert sorted(got) == sorted(asked.tolist()), r
-
-
-@pytest.mark.parametrize("n, d", [(9, 2), (13, 2), (7, 3)])
-def test_reduction_stacks_below_the_tier_trace_only_the_asked_and_their_ancestors(
-    monkeypatch, n, d
-):
-    # the walk stops at level r and leaves every branch that leads to no asked
-    # keep-set: each traced matrix is an asked keep-set or one of its ancestors
-    state = _random_state(n, d, 400 + 10 * n + d)
-    m = n // 2
-    traced = []
-    trace_digit = weights._trace_digit
-
-    def spying(rho, j, dd):
-        out = trace_digit(rho, j, dd)
-        traced.extend([out.shape[-1]] * len(out))
-        return out
-
-    monkeypatch.setattr(weights, "_trace_digit", spying)
-    rng = np.random.default_rng(n * d)
-    for r in range(1, m):
-        tier = weights._masks_of_size(n, r)
-        for asked in (tier[:1], rng.permutation(tier)[: (len(tier) + 1) // 2]):
-            traced.clear()
-            got = [masks.tolist() for masks, _ in weights.reduction_stacks(state, asked)]
-            assert sorted(sum(got, [])) == sorted(asked.tolist())
-            assert min(traced) == d**r, r
-            below = set()
-            for t in asked.tolist():
-                while t.bit_count() < m:
-                    below.add(t)
-                    t |= t + 1
-            assert len(traced) == len(below), r
 
 
 def test_weight_distribution_peak_stays_below_two_mib():
@@ -703,29 +636,34 @@ def test_each_route_forms_its_tier_once(monkeypatch, n, d):
     assert len(formed) == (math.comb(n, m) if n % 2 else math.comb(n - 1, m - 1))
 
 
-@pytest.mark.parametrize("n, k, parents", [(13, 3, 120), (10, 2, 21), (9, 1, 6)])
-def test_k_uniformity_below_the_tier_forms_each_ancestor_once(monkeypatch, n, k, parents):
-    # a k-set below m = floor(n/2) is traced down from R plus its lowest
-    # missing parties, up to m; k-sets sharing that m-set share one formation
+def test_requests_below_the_tier_form_exactly_the_asked_keep_sets(monkeypatch):
+    # a request of any size is formed directly, in the order given: no
+    # floor(n/2)-party tier is formed above it and nothing is traced down
+    n = 13
     state = _graph_state(n, 90 + n)
-    m = n // 2
     formed = []
     reduction_stacks = weights.reduction_stacks
 
     def counting(reduced, keeps):
-        formed.extend(t for t in np.asarray(keeps).tolist() if t.bit_count() == m)
+        formed.extend(np.asarray(keeps).tolist())
         return reduction_stacks(reduced, keeps)
 
+    def untraceable(*args):
+        raise AssertionError("a requested reduction was traced down")
+
     monkeypatch.setattr(weights, "reduction_stacks", counting)
-    k_uniformity(state, k)
-    ancestors = set()
-    for R in itertools.combinations(range(n), k):
-        t = sum(1 << j for j in R)
-        while t.bit_count() < m:
-            t |= t + 1
-        ancestors.add(t)
-    assert sorted(formed) == sorted(ancestors)
-    assert len(formed) == parents < math.comb(n, k)
+    monkeypatch.setattr(weights, "_trace_digit", untraceable)
+    rng = np.random.default_rng(n)
+    for r in range(1, n // 2):
+        formed.clear()
+        tier = weights._masks_of_size(n, r)
+        asked = rng.permutation(tier)[: (len(tier) + 1) // 2]
+        got = [m for masks, _ in weights.reduction_stacks(state, asked) for m in masks.tolist()]
+        assert got == formed == asked.tolist(), r
+    formed.clear()
+    k_uniformity(state, 3)
+    assert formed == weights._masks_of_size(n, 3).tolist()
+    assert len(formed) == math.comb(n, 3) == 286
 
 
 def _real_haar_state(n, d, seed):
@@ -764,7 +702,8 @@ SHARED_READ_STATES = {
 @pytest.mark.parametrize("state", SHARED_READ_STATES.values(), ids=SHARED_READ_STATES.keys())
 def test_subset_purity_is_the_table_entry(monkeypatch, state):
     # both read a pair's purity off its representative with the same stacked
-    # dot, so they agree exactly on every mask, the n/2 ties included
+    # dot: exactly where both form the floor(n/2)-party representative, the
+    # n/2 ties included, and to rounding below, where the table's is traced
     n = state.n
     tables = []
     purity_table = weights._purity_table
@@ -777,8 +716,13 @@ def test_subset_purity_is_the_table_entry(monkeypatch, state):
     monkeypatch.setattr(weights, "_purity_table", capturing)
     weight_distribution(state)
     (table,) = tables
+    reps = weights._pair_representatives(n)
     for mask, value in enumerate(table.tolist()):
-        assert subset_purity(state, [j for j in range(n) if mask >> j & 1]) == value, mask
+        got = subset_purity(state, [j for j in range(n) if mask >> j & 1])
+        if int(reps[mask]).bit_count() == n // 2:
+            assert got == value, mask
+        else:
+            assert abs(got - value) <= 1e-14 * value, mask
 
 
 def _qutrit_graph_state():
