@@ -405,12 +405,15 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
 
     The state is treated as an AME candidate: its floor(n/2)-party
     reductions must be maximally mixed, every low-weight trace must vanish,
-    weight traces must be constant across equal-size supports and match the
-    closed forms, and every qualifying reduction must satisfy the projector
-    property.  A state past `DESK_SCALE` or `MAX_VERIFY_WORK` is refused
-    before any reduction.  Every row comes from one small-side sweep,
-    `oracle.weights.verification_sweep`, which reads each reduction once.
+    subsystem purities must be constant across equal-size supports and match
+    those the closed-form traces give, and every qualifying reduction must
+    satisfy the projector property.  A state past `DESK_SCALE` or
+    `MAX_VERIFY_WORK` is refused before any reduction.  Every row comes from
+    one small-side sweep, `oracle.weights.verification_sweep`, which reads
+    each reduction once and returns the purity table.
     """
+    import numpy as np
+
     from . import oracle
 
     if state.n < 2:
@@ -423,26 +426,40 @@ def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
             f"{MAX_VERIFY_WORK:.0e} units"
         )
     params = SystemParams(n=state.n, d=state.d)
-    m = params.m
-    dev, proj, dist = oracle.weights.verification_sweep(state)
+    n, d, m = state.n, state.d, params.m
+    dev, proj, purities = oracle.weights.verification_sweep(state)
     checks = [(f"k-uniformity (k={m})", dev <= tol, f"max deviation {dev:.3e}")]
 
-    by_weight = dist.per_weight()
-
-    worst_low = max(abs(v) for w in range(1, m + 1) for v in by_weight[w])
+    # only this row reads weight traces, at most about d^(2m) eps at desk
+    # scale; the rows below compare purities, each at most 1, where the
+    # transform would weigh their rounding by up to d^(2n)
+    sizes = oracle.weights.bit_counts(n)
+    traces = oracle.weights._transform(purities.copy(), d)
+    worst_low = float(abs(traces[(sizes > 0) & (sizes <= m)]).max())
     checks.append(
         (f"vanishing weights 1..{m}", worst_low <= tol, f"max |tr P_S^2| = {worst_low:.3e}")
     )
 
-    spread = max(max(by_weight[w]) - min(by_weight[w]) for w in range(m + 1, state.n + 1))
+    # the purities of size s run from starts[s] in size order
+    by_size = purities[np.argsort(sizes)]
+    starts = list(itertools.accumulate((math.comb(n, s) for s in range(n)), initial=0))
+    ranges = np.maximum.reduceat(by_size, starts) - np.minimum.reduceat(by_size, starts)
+    spread = float(ranges[m + 1 :].max())
     checks.append(
         ("equal values across equal-size supports", spread <= tol, f"max spread {spread:.3e}")
     )
 
-    closed_dev = 0.0
-    for i in range(1, params.i_max + 1):
-        want = float(trace_closed_form(params, i))
-        closed_dev = max(closed_dev, max(abs(v - want) for v in by_weight[m + i]))
+    # pi_cf(s) = d^-2s sum_w C(s, w) d^(s-w) t_w inverts the transform, with
+    # t_0 = 1, t_w = 0 at 1..m and the closed forms above m; num holds
+    # den * t_w, integers, so each value is one exact quotient rounded once
+    closed = [trace_closed_form(params, i) for i in range(1, params.i_max + 1)]
+    den = math.lcm(*(t.denominator for t in closed))
+    num = [den] + [0] * m + [int(den * t) for t in closed]
+    want = [
+        sum(math.comb(s, w) * d ** (s - w) * num[w] for w in range(s + 1)) / (den * d ** (2 * s))
+        for s in range(n + 1)
+    ]
+    closed_dev = float(abs(purities - np.array(want)[sizes]).max())
     checks.append(
         ("closed-form match", closed_dev <= tol, f"max deviation {closed_dev:.3e}")
     )

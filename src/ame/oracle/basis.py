@@ -9,9 +9,10 @@ With rho = d^-n sum_alpha r_alpha g_alpha, grouping squared coefficients by
 the exact support S of alpha gives tr(P_S^2) = d^|S| * sum_{supp(alpha)=S}
 r_alpha^2 -- the second, basis-dependent route to the numbers produced by
 `weights.weight_distribution`.  The coefficients are real, and are computed
-in real arithmetic: the d(d-1)/2 imaginary generators times i are real
-antisymmetric matrices, the others real symmetric, which gives a real basis
-h_a, and with k the number of antisymmetric factors in alpha,
+in real arithmetic over the real basis h_a that `_real_basis` builds
+directly, d(d-1)/2 real antisymmetric matrices and the rest real symmetric;
+`one_site_basis` is g_a = -i*h_a for an antisymmetric h_a, g_a = h_a
+otherwise, and with k the number of antisymmetric factors in alpha,
 r_alpha = (-1)^floor(k/2) * tr((Re rho + Im rho) h_alpha).  They are
 contracted in blocks: enough leading sites are split off that each block,
 the real matrix N the state leaves on the trailing sites for one
@@ -42,44 +43,38 @@ from .weights import WeightDistribution, bit_counts
 _COEFF_SCALE = 10**7
 
 
-def one_site_basis(d: int) -> np.ndarray:
-    """Stack of d^2 Hermitian matrices, identity first, tr(g_a g_b) = d*delta_ab."""
-    if d < 2:
-        raise ValueError(f"need d >= 2, got d={d}")
-    g = np.zeros((d * d, d, d), dtype=np.complex128)
-    g[0] = np.eye(d)
+def _real_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real basis h_a, identity first, and which h_a are antisymmetric.
+
+    For each level pair j < k the symmetric s(E_jk + E_kj), then the
+    antisymmetric s(E_jk - E_kj), s = sqrt(d/2); then the diagonal ladders.
+    """
+    h = np.zeros((d * d, d, d))
+    odd = np.zeros(d * d, dtype=bool)
+    h[0] = np.eye(d)
     a = 1
     s = math.sqrt(d / 2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            g[a, j, k] = s
-            g[a, k, j] = s
-            a += 1
-            g[a, j, k] = -1j * s
-            g[a, k, j] = 1j * s
-            a += 1
+    for j, k in itertools.combinations(range(d), 2):
+        # entries (j, k) and (k, j) of h_a and h_{a+1}
+        h[a : a + 2, [j, k], [k, j]] = [[s, s], [s, -s]]
+        odd[a + 1] = True
+        a += 2
     for l in range(1, d):
         c = math.sqrt(d / (l * (l + 1)))
-        for j in range(l):
-            g[a, j, j] = c
-        g[a, l, l] = -l * c
+        h[a, range(l + 1), range(l + 1)] = [c] * l + [-l * c]
         a += 1
-    return g
+    return h, odd
 
 
-def _real_site_basis(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real basis h_a = g_a, or i*g_a for an imaginary g_a, and which h_a are antisymmetric.
+def one_site_basis(d: int) -> np.ndarray:
+    """Stack of d^2 Hermitian matrices, identity first, tr(g_a g_b) = d*delta_ab.
 
-    Checks the premise of the real form: each generator is real (so, being
-    Hermitian, symmetric), or imaginary with i*g_a real antisymmetric.
+    g_a = h_a of `_real_basis`, or -i*h_a for an antisymmetric h_a.
     """
-    g = one_site_basis(d)
-    odd = g.imag.any(axis=(1, 2))
-    h = g * np.where(odd, 1j, 1)[:, None, None]
-    transposed = np.where(odd[:, None, None], -h, h)
-    if h.imag.any() or not np.array_equal(h.transpose(0, 2, 1), transposed):
-        raise AssertionError("each generator must be real, or imaginary and antisymmetric")
-    return h.real, odd
+    if d < 2:
+        raise ValueError(f"need d >= 2, got d={d}")
+    h, odd = _real_basis(d)
+    return np.where(odd[:, None, None], -1j * h, h)
 
 
 def bloch_coefficients(state: StateVector) -> np.ndarray:
@@ -95,9 +90,7 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
 
         r_alpha = (-1)^floor(k/2) * tr(C h_alpha),  C = Re rho + Im rho,
 
-    exactly, for every state.  The premise, each generator real or
-    imaginary and antisymmetric, is checked once per call, by
-    `_real_site_basis`.
+    exactly, for every state.
 
     Contracted in blocks over the leading sites: the fewest leading sites s
     are split off for which a trailing block of d^(2(n-s)) entries fits
@@ -124,7 +117,7 @@ def bloch_coefficients(state: StateVector) -> np.ndarray:
     n, d = state.n, state.d
     if d ** (2 * n) > _COEFF_SCALE:
         raise ValueError(f"coefficient tensor too large: d**(2n) = {d ** (2 * n)}")
-    h, odd = _real_site_basis(d)
+    h, odd = _real_basis(d)
     # basis[x * d + y, a] = h_a[y, x]: a row of (x, y) entries of N maps to
     # sum_{x,y} N[x, y] h_a[y, x], the trace over that site
     basis = h.transpose(2, 1, 0).reshape(d * d, d * d)

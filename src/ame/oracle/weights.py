@@ -478,16 +478,17 @@ def projector_property_residual(state: StateVector, keep: Iterable[int]) -> floa
     return _max_projector_residual(partial_trace(state, traced_out).entries)
 
 
-def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribution]:
-    """(k-uniformity deviation, projector residual, weight traces) from one sweep.
+def verification_sweep(state: StateVector) -> tuple[float, float, np.ndarray]:
+    """(k-uniformity deviation, projector residual, purity table) from one sweep.
 
     Each reduction rho_R with 1 <= |R| <= floor(n/2) comes once from
     `_small_side_stacks`, the whole floor(n/2)-party tier included, and is
     validated, a stack at a time.  A stack gives the projector residual of the
     complementary keep-sets, at |R| = floor(n/2) the k-uniformity deviation,
     and the purity of every R that represents its pair {R, Rbar}, read by the
-    `_purity_table` of `weight_distribution`, from which the weight traces
-    follow by the same transform.
+    `_purity_table` of `weight_distribution`: tr(rho_T^2) of the normalised
+    state for every bitmask T, each at most 1, from which `_transform` gives
+    the weight traces.
     """
     n, top = state.n, state.d ** (state.n // 2)
     # keeping all n parties traces out nothing: its residual is a scalar
@@ -502,5 +503,6 @@ def verification_sweep(state: StateVector) -> tuple[float, float, WeightDistribu
                 dev = max(dev, _max_deviation(rho))
             yield masks, rho
 
-    traces = _transform(_purity_table(state, validated()), state.d)
-    return dev, proj, WeightDistribution.from_masks(n, state.d, traces)
+    # dev and proj are filled while the table is built
+    purities = _purity_table(state, validated())
+    return dev, proj, purities

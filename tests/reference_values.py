@@ -1,4 +1,4 @@
-"""Frozen reference data for the d=2 weight-trace table.
+"""Frozen reference data for the d=2 weight-trace table, and AME graphs.
 
 Values were produced by the exact forward-substitution solver and
 independently confirmed by the hypergeometric closed forms (the two never
@@ -24,3 +24,15 @@ QUBIT_TRACES = {
 # (n, d) pairs ruled out by a negative trace for d=2, n <= 13, with the
 # weight offset of the first negative entry
 QUBIT_RULED_OUT = {8: 2, 10: 2, 12: 2, 13: 2}
+
+
+def reed_solomon_edges(n, p):
+    """Weighted edges (u, v, w) of an AME(n, p) graph state, p prime, p >= n.
+
+    The graph is [[0, A], [A^T, 0]] with the Cauchy matrix A_xy = 1/(x - y)
+    over F_p, x < floor(n/2) <= y: every square submatrix of A is invertible,
+    so its code is MDS and the graph state is AME (Helwig et al., PRA 86,
+    052335 (2012)).
+    """
+    h = n // 2
+    return [(x, y, pow(x - y, -1, p)) for x in range(h) for y in range(h, n)]

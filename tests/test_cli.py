@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from ame.oracle import (
 )
 from fractions import Fraction
 
-from reference_values import QUBIT_TRACES
+from reference_values import QUBIT_TRACES, reed_solomon_edges
 
 
 def run(capsys, *argv):
@@ -370,6 +371,55 @@ def test_verification_passes_genuine_ame_states_at_large_d(state):
     # normalised state, so no norm error is weighed by d^(2n)
     rows = run_verification(state, 1e-9)
     assert all(ok for _, ok, _ in rows), rows
+
+
+# each is exactly AME, with weight traces up to about p^(2n); while verify
+# compared traces, not purities, the closed-form row read up to 6.7e-5 on
+# these and every state but (4, 5) failed at 1e-9
+@pytest.mark.parametrize("n, p", [(4, 5), (5, 7), (6, 7), (5, 11), (3, 97)])
+def test_verification_passes_reed_solomon_ame_states(n, p):
+    state = graph_state(GraphSpec.from_edges(n, p, reed_solomon_edges(n, p)))
+    rows = run_verification(state, 1e-9)
+    assert all(ok for _, ok, _ in rows), rows
+
+
+def test_verification_fails_a_reed_solomon_state_off_by_one_edge_and_ghz10():
+    # edge (0, 4) of AME(5, 7) one weight up is no longer AME, nor is ghz(10);
+    # the purity-space closed-form row fails on both
+    edges = [(u, v, (w + 1) % 7 if (u, v) == (0, 4) else w) for u, v, w in reed_solomon_edges(5, 7)]
+    for state in (graph_state(GraphSpec.from_edges(5, 7, edges)), ghz(10, 2)):
+        failed = [name for name, ok, _ in run_verification(state, 1e-9) if not ok]
+        assert failed[0].startswith("k-uniformity") and "closed-form match" in failed, failed
+
+
+@pytest.mark.parametrize("n, d", [(4, 2), (5, 2), (3, 3), (4, 3)])
+def test_verify_purity_rows_written_out_from_subset_purities(n, d):
+    # equal values: the widest spread of purities within one size above m;
+    # closed form: the farthest purity from d^-min(s, n-s), the AME purity
+    # that the exact closed-form traces give
+    rng = np.random.default_rng(10 * n + d)
+    v = rng.normal(size=d**n) + 1j * rng.normal(size=d**n)
+    state = StateVector(n, d, v / np.linalg.norm(v))
+    by_size = {
+        s: [weights.subset_purity(state, S) for S in itertools.combinations(range(n), s)]
+        for s in range(n + 1)
+    }
+    spread = max(max(p) - min(p) for s, p in by_size.items() if s > n // 2)
+    closed = max(abs(x - d ** -min(s, n - s)) for s, p in by_size.items() for x in p)
+    rows = {name: float(detail.split()[-1]) for name, _, detail in run_verification(state, 1e-9)}
+    assert rows["equal values across equal-size supports"] == pytest.approx(spread, rel=1e-3)
+    assert rows["closed-form match"] == pytest.approx(closed, rel=1e-3)
+
+
+def test_a_shifted_closed_form_fails_only_the_closed_form_row(monkeypatch):
+    original = cli.trace_closed_form
+
+    def shifted(params, i):
+        return original(params, i % params.i_max + 1)
+
+    monkeypatch.setattr(cli, "trace_closed_form", shifted)
+    rows = run_verification(builtin_state("ring5"), 1e-9)
+    assert [name for name, ok, _ in rows if not ok] == ["closed-form match"]
 
 
 def test_verify_one_party_state_file_is_input_error(capsys, tmp_path):

@@ -56,12 +56,12 @@ def test_one_site_basis_rejects_d_below_two():
 
 
 def test_bloch_coefficients_refuses_an_oversized_tensor_before_any_work(monkeypatch):
-    # 4^12 coefficients of 16 bytes would take 256 MiB; the basis is the
+    # 4^12 float64 coefficients would take 128 MiB; the real basis is the
     # first thing the contraction builds
     def unreachable(d):
         raise AssertionError("the size check let an oversized tensor through")
 
-    monkeypatch.setattr(basis, "one_site_basis", unreachable)
+    monkeypatch.setattr(basis, "_real_basis", unreachable)
     with pytest.raises(ValueError, match="coefficient tensor too large"):
         bloch_coefficients(ghz(12, 2))
 
@@ -243,25 +243,17 @@ def test_basis_route_folds_the_squares_in_place():
 # --- the real form: r_alpha = (-1)^floor(k/2) tr((Re rho + Im rho) h_alpha)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_real_site_basis_is_real_with_the_imaginary_generators_antisymmetric(d):
-    h, odd = basis._real_site_basis(d)
+    h, odd = basis._real_basis(d)
     assert h.dtype == np.float64 and h.shape == (d * d, d, d)
     assert int(odd.sum()) == d * (d - 1) // 2
     assert np.array_equal(h[odd].transpose(0, 2, 1), -h[odd])
     assert np.array_equal(h[~odd].transpose(0, 2, 1), h[~odd])
     # g_a = -i h_a for the antisymmetric members, g_a = h_a for the rest
     assert np.array_equal(one_site_basis(d), np.where(odd[:, None, None], -1j * h, h))
-
-
-def test_bloch_coefficients_refuse_a_generator_neither_real_nor_imaginary(monkeypatch):
-    # (X + Y)/sqrt(2) is Hermitian and keeps the basis orthogonal, but is
-    # neither real nor imaginary, so the real form does not hold for it
-    g = one_site_basis(2)
-    g[1] = (g[1] + g[2]) / np.sqrt(2)
-    monkeypatch.setattr(basis, "one_site_basis", lambda d: g)
-    with pytest.raises(AssertionError, match="real, or imaginary and antisymmetric"):
-        bloch_coefficients(bell(2))
+    # tr(h_a h_b^T) = d delta_ab, the orthogonality of the g_a
+    assert np.allclose(np.einsum("aij,bij->ab", h, h), d * np.eye(d * d), atol=1e-12)
 
 
 # every leading site split off (each sign in the leading operator) and the

@@ -6,9 +6,10 @@ and relabelling the parties relabels the supports.  `verify`'s one sweep
 reports what `k_uniformity`, `projector_property_residual` and
 `weight_distribution` give on their own, `k_uniformity` and the sweep's
 stacks give what `partial_trace` gives set by set, and the Frobenius
-projector residual is a local-unitary invariant.  Real states, whose
-reductions are formed in float64, weigh and verify as their complex global
-phase does and as the Bloch-basis route weighs them.
+projector residual is a local-unitary invariant, and so is `verify`'s
+verdict on Reed-Solomon AME states.  Real states, whose reductions are
+formed in float64, weigh and verify as their complex global phase does and
+as the Bloch-basis route weighs them.
 States are drawn from a seed so that hypothesis can shrink a failure to a
 reproducible (n, d, seed).
 
@@ -35,11 +36,14 @@ from ame.oracle import (
     weight_distribution_basis,
 )
 from ame.oracle.weights import (
+    WeightDistribution,
     _masks_of_size,
     _max_deviation,
+    _transform,
     reduction_stacks,
     verification_sweep,
 )
+from reference_values import reed_solomon_edges
 
 TOL = 1e-9
 
@@ -166,7 +170,8 @@ def test_verification_sweep_reports_the_standalone_checks(shape):
 def test_verification_sweep_weights_equal_the_purity_route(shape):
     n, d, seed = shape
     state = StateVector(n, d, _haar_vector(np.random.default_rng(seed), d**n))
-    got = verification_sweep(state)[2].per_weight()
+    table = verification_sweep(state)[2]
+    got = WeightDistribution.from_masks(n, d, _transform(table.copy(), d)).per_weight()
     want = weight_distribution(state).per_weight()
     assert got.keys() == want.keys()
     for w in want:
@@ -200,6 +205,18 @@ def test_verification_sweep_residual_equals_the_standalone_maximum(shape):
     swept = verification_sweep(state)[1]
     assert abs(swept - residual) <= 1e-14 * residual
     assert run_verification(state, TOL)[-1][2] == f"max residual {swept:.3e}"
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verification_passes_locally_rotated_reed_solomon_states(seed):
+    # AME(5, 7) and AME(6, 7) under a Haar unitary on every party are still
+    # AME, with no graph-state structure left in their amplitudes
+    rng = np.random.default_rng(seed)
+    for n in (5, 6):
+        state = graph_state(GraphSpec.from_edges(n, 7, reed_solomon_edges(n, 7)))
+        rows = run_verification(_locally_rotated(rng, state), TOL)
+        assert all(ok for _, ok, _ in rows), (n, rows)
 
 
 @settings(max_examples=12, deadline=None)

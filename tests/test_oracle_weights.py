@@ -598,12 +598,15 @@ def test_one_party_state_has_no_tier_and_all_routes_agree():
     # floor(1/2) = 0: nothing is reduced, and the one purity is that of the
     # empty reduction's pair
     state = _random_state(1, 3, 7)
-    dev, proj, swept = weights.verification_sweep(state)
+    dev, proj, table = weights.verification_sweep(state)
+    assert table.tolist() == [1.0, 1.0]
+    traces = weights._transform(table.copy(), state.d)
+    swept = weights.WeightDistribution.from_masks(1, state.d, traces).per_subset
     purity = weight_distribution(state).per_subset
     basis = weight_distribution_basis(state).per_subset
     assert dev == 0.0 and proj <= 1e-15
-    assert list(purity) == list(swept.per_subset) == list(basis) == [(0,)]
-    assert purity == swept.per_subset
+    assert list(purity) == list(swept) == list(basis) == [(0,)]
+    assert purity == swept
     assert purity[(0,)] == pytest.approx(basis[(0,)], rel=1e-12)
     assert purity[(0,)] == pytest.approx(state.d * (state.d - 1), rel=1e-12)
 
