@@ -22,8 +22,10 @@ work against `MAX_VERIFY_WORK` before any reduction.  Only `verify` and
 subcommands and `--help` never load numpy.
 
 The argparse grammar is built once, when this module is imported, and every
-`main` call parses with it.  `solve` builds the one system it prints and
-prints that system's own forward-substitution solution as `x`.
+`main` call parses with it.  `check`, `solve` and `find-graph` take `--n` and
+`--d` from one shared parent parser, declared once.  `solve` builds the one
+system it prints and prints that system's own forward-substitution solution
+as `x`.
 """
 
 from __future__ import annotations
@@ -533,6 +535,12 @@ _sub = _parser.add_subparsers(dest="command", required=True, parser_class=_Parse
 
 _fmt = {"choices": ("md", "csv", "json"), "default": "md"}
 
+# (n, d) of `check`, `solve` and `find-graph`: argparse copies a parent's
+# actions first, right after -h, so each usage line keeps its order
+_nd = argparse.ArgumentParser(add_help=False)
+_nd.add_argument("--n", type=int, required=True)
+_nd.add_argument("--d", type=int, required=True)
+
 _p = _sub.add_parser("table", help="invariant table over a range of n")
 _p.add_argument("--d", type=int, required=True)
 _p.add_argument("--n-min", type=int, required=True)
@@ -540,9 +548,7 @@ _p.add_argument("--n-max", type=int, required=True)
 _p.add_argument("--format", **_fmt)
 _p.set_defaults(func=cmd_table)
 
-_p = _sub.add_parser("check", help="existence verdict for one (n, d)")
-_p.add_argument("--n", type=int, required=True)
-_p.add_argument("--d", type=int, required=True)
+_p = _sub.add_parser("check", help="existence verdict for one (n, d)", parents=[_nd])
 _p.add_argument("--format", **_fmt)
 _p.set_defaults(func=cmd_check)
 
@@ -552,9 +558,7 @@ _p.add_argument("--n-max", type=int, required=True)
 _p.add_argument("--format", **_fmt)
 _p.set_defaults(func=cmd_scan)
 
-_p = _sub.add_parser("solve", help="dump the exact triangular system")
-_p.add_argument("--n", type=int, required=True)
-_p.add_argument("--d", type=int, required=True)
+_p = _sub.add_parser("solve", help="dump the exact triangular system", parents=[_nd])
 _p.add_argument("--i", type=int, default=None, help="system size (default: full, n - floor(n/2))")
 _p.add_argument("--show-inverse", action="store_true")
 _p.add_argument("--format", **_fmt)
@@ -565,9 +569,7 @@ _p.add_argument("--state", required=True, metavar="builtin:NAME|PATH")
 _p.add_argument("--tol", type=_tolerance, default=1e-9)
 _p.set_defaults(func=cmd_verify)
 
-_p = _sub.add_parser("find-graph", help="exhaustive AME graph-state search")
-_p.add_argument("--n", type=int, required=True)
-_p.add_argument("--d", type=int, required=True)
+_p = _sub.add_parser("find-graph", help="exhaustive AME graph-state search", parents=[_nd])
 _p.add_argument("--limit", type=int, default=None)
 _p.set_defaults(func=cmd_find_graph)
 

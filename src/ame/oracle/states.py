@@ -137,6 +137,7 @@ class GraphSpec:
     def from_edges(cls, n: int, d: int, edges: Iterable[tuple]) -> "GraphSpec":
         """Build from (u, v) or (u, v, weight) tuples; bare pairs get weight 1.
 
+        An edge of any other length raises ValueError naming the edge.
         Each vertex pair is named once: a second (u, v) or (v, u) raises
         ValueError rather than overwrite the first.  A self-loop (u, u, w)
         raises ValueError naming the edge, whatever its weight, w = 0 too.
@@ -144,6 +145,8 @@ class GraphSpec:
         adj = [[0] * n for _ in range(n)]
         seen = set()
         for edge in edges:
+            if len(edge) not in (2, 3):
+                raise ValueError(f"edge {edge!r} must be (u, v) or (u, v, weight)")
             u, v, *rest = edge
             u, v = (as_index(x, f"vertex of edge {edge!r}") for x in (u, v))
             if not (0 <= u < n and 0 <= v < n):

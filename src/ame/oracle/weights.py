@@ -440,14 +440,17 @@ UNIFORMITY_TOL = 1e-9
 def k_uniformity(state: StateVector, k: int) -> UniformityReport:
     """Is every k-party reduction maximally mixed, within 1e-9 in max entry?
 
+    k runs over 1..floor(n/2), the range where k-uniformity is defined: a
+    reduction onto k > n/2 parties has rank at most d^(n-k) < d^k, so it is
+    never maximally mixed, and such a k is refused before anything is formed.
     The reductions come from one `reduction_stacks` call over every k-party
     keep-set, and each is validated as its own `DensityMatrix`, whose parties
     are read off the mask the stack yields with the matrix.  The deviation is
     read once a stack, off the stack itself: its maximum over the stack is
     the maximum over each `DensityMatrix`'s entries, bit for bit.
     """
-    if not 1 <= k <= state.n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k} for n={state.n}")
+    if not 1 <= k <= state.n // 2:
+        raise ValueError(f"need 1 <= k <= floor(n/2) = {state.n // 2}, got k={k} for n={state.n}")
     n, d = state.n, state.d
     worst = 0.0
     for masks, stack in reduction_stacks(state, _masks_of_size(n, k)):

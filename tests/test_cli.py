@@ -761,6 +761,31 @@ def test_help_exits_zero(capsys):
     assert "table" in out and "verify" in out
 
 
+# the usage lines of the (n, d) subcommands at COLUMNS=80, written out: --n
+# and --d come from a shared parent parser and must stay right after -h
+_ND_USAGE = {
+    "check": "usage: ame check [-h] --n N --d D [--format {md,csv,json}]\n",
+    "solve": (
+        "usage: ame solve [-h] --n N --d D [--i I] [--show-inverse]\n"
+        "                 [--format {md,csv,json}]\n"
+    ),
+    "find-graph": "usage: ame find-graph [-h] --n N --d D [--limit LIMIT]\n",
+}
+
+
+@pytest.mark.parametrize("command", _ND_USAGE)
+def test_usage_lines_of_the_n_d_subcommands(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = _ND_USAGE[command]
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith(usage + "\n")
+    for argv, missing in [([], "--n, --d"), (["--n", "8"], "--d"), (["--d", "2"], "--n")]:
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err == f"{usage}ame {command}: error: the following arguments are required: {missing}\n"
+
+
 # usage error, help, then valid calls of every exact command and one refusal
 _CALLS = [
     ["table", "--d", "2"],

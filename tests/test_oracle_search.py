@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from ame.oracle import (
+    BUILTIN_NAMES,
     GraphSpec,
+    StateVector,
     ame62_graph,
     builtin_state,
     find_ame_graph,
@@ -249,11 +251,15 @@ def test_builtin_lookup_rejects_a_dimension_below_two(name):
 
 
 def test_builtin_lookup_names():
+    # BUILTIN_NAMES is built from the registry tables; CI and the tests loop
+    # over it, so its names and their order are pinned
+    assert BUILTIN_NAMES == ("bell(2)", "bell(3)", "ghz3(2)", "ghz3(3)", "ame43", "ring5", "ame62")
+    for name in BUILTIN_NAMES:
+        assert isinstance(builtin_state(name), StateVector), name
     assert builtin_state("bell").d == 2
     assert builtin_state("bell(3)").d == 3
     assert builtin_state("ghz3(3)").n == 3
     assert builtin_state("ring5").n == 5
-    with pytest.raises(ValueError):
-        builtin_state("ame43(2)")
-    with pytest.raises(ValueError):
-        builtin_state("mystery")
+    for name in ["ame43(2)", "ring5(3)", "bell()", "ghz3(x)", "mystery"]:
+        with pytest.raises(ValueError, match="unknown builtin state"):
+            builtin_state(name)

@@ -152,11 +152,14 @@ def test_graph_spec_weights_must_be_integers(weight):
         ((-1, 0), "edge (-1, 0) has a vertex outside 0..2"),
         ((3, 0), "edge (3, 0) has a vertex outside 0..2"),
         ((0.0, 1), "vertex of edge (0.0, 1) must be an integer"),
+        ((0, 1, 1, 99), "edge (0, 1, 1, 99) must be (u, v) or (u, v, weight)"),
+        ((0,), "edge (0,) must be (u, v) or (u, v, weight)"),
     ],
 )
 def test_graph_spec_from_edges_rejects_bad_edges(edge, message):
-    # a fractional weight is not rounded away, and a vertex of -1 does not
-    # wrap round to the last one
+    # a fractional weight is not rounded away, a vertex of -1 does not wrap
+    # round to the last one, and an edge of four entries is not read as its
+    # first three
     with pytest.raises(ValueError, match=re.escape(message)):
         GraphSpec.from_edges(3, 2, [edge])
 
