@@ -16,10 +16,12 @@ whose tables hold raw rows and get their cells from `_cell` only when that
 layout is the one written.  The JSON comes from this module's own writer
 `_json`, byte-identical to the stdlib's `indent=2` text: the stdlib uses its C
 encoder only when no indent is asked for, and otherwise walks the document in
-pure Python.  `verify` checks the state against `DESK_SCALE` and its estimated
-work against `MAX_VERIFY_WORK` before any reduction.  Only `verify` and
-`find-graph` import the numpy oracle, inside their functions, so the exact
-subcommands and `--help` never load numpy.
+pure Python.  `verify` reads its rows from the oracle's
+`weights.verification_rows`, which admits the state (at least two parties,
+the desk scale, then verify's own work cap) before any reduction; this
+module does no numerics of its own.  Only `verify` and `find-graph` import
+the numpy oracle, inside their functions, so the exact subcommands and
+`--help` never load numpy.
 
 The argparse grammar is built once, when this module is imported, and every
 `main` call parses with it.  `check`, `solve` and `find-graph` take `--n` and
@@ -38,12 +40,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .enumerator import (
-    SystemParams,
-    build_system,
-    explicit_inverse,
-    trace_closed_form,
-)
+from .enumerator import SystemParams, build_system, explicit_inverse
 from .existence import check, i2_counterexamples, scan
 
 
@@ -378,96 +375,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # --- verify --------------------------------------------------------------
 
 
-# Work cap of `verify`, in the units of `_verify_work`.  On a 2-core host a
-# unit takes about 0.2 ns on a complex state and 0.15 ns on a real one, which
-# is reduced in float64, once the reductions reach BLAS size.  The largest
-# admitted states, read from state files, are ghz(15) at 4.1e10 units, which
-# is real, and a complex (n, d) = (11, 3) state at 2.6e10: `ame verify` takes
-# 5.5-7.5 s and 4.0-5.6 s on them, with 41 and 68 MB peak RSS.  The next
-# ones, (16, 2) at 3.6e11 and (12, 3) at 4.9e11, are refused.
-MAX_VERIFY_WORK = 5 * 10**10
-
-
-def _verify_work(n: int, d: int) -> int:
-    """Estimated work units of `run_verification` on n parties of dimension d.
-
-    A unit is one complex multiply-add of the reduction products: reducing
-    onto r parties costs d**(n + r), for each of the C(n, r) sets with
-    r <= floor(n/2).  Validating a reduction and reading its purity,
-    projector residual and deviation cost d**(3r), no more than forming it.
-    Every tier is counted as formed directly, although the sweep forms only
-    the floor(n/2)-party tier and traces the smaller ones down from it at
-    d**(2r + 1) a reduction, so the estimate is an upper bound.
-    """
-    return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
-
-
 def run_verification(state, tol: float) -> list[tuple[str, bool, str]]:
-    """All state-level checks behind `ame verify`, as (name, ok, detail) rows.
-
-    The state is treated as an AME candidate: its floor(n/2)-party
-    reductions must be maximally mixed, every low-weight trace must vanish,
-    subsystem purities must be constant across equal-size supports and match
-    those the closed-form traces give, and every qualifying reduction must
-    satisfy the projector property.  A state past `DESK_SCALE` or
-    `MAX_VERIFY_WORK` is refused before any reduction.  Every row comes from
-    one small-side sweep, `oracle.weights.verification_sweep`, which reads
-    each reduction once and returns the purity table.
-    """
-    import numpy as np
-
+    """The (name, ok, detail) rows of `ame verify`, all of them read and
+    admitted by `oracle.weights.verification_rows`."""
     from . import oracle
 
-    if state.n < 2:
-        raise ValueError("verification needs at least two parties")
-    oracle.weights.check_desk_scale(state.n, state.d)
-    work = _verify_work(state.n, state.d)
-    if work > MAX_VERIFY_WORK:
-        raise ValueError(
-            f"verification needs {work:.3e} work units, above the work cap of "
-            f"{MAX_VERIFY_WORK:.0e} units"
-        )
-    params = SystemParams(n=state.n, d=state.d)
-    n, d, m = state.n, state.d, params.m
-    dev, proj, purities = oracle.weights.verification_sweep(state)
-    checks = [(f"k-uniformity (k={m})", dev <= tol, f"max deviation {dev:.3e}")]
-
-    # only this row reads weight traces, at most about d^(2m) eps at desk
-    # scale; the rows below compare purities, each at most 1, where the
-    # transform would weigh their rounding by up to d^(2n)
-    sizes = oracle.weights.bit_counts(n)
-    traces = oracle.weights._transform(purities.copy(), d)
-    worst_low = float(abs(traces[(sizes > 0) & (sizes <= m)]).max())
-    checks.append(
-        (f"vanishing weights 1..{m}", worst_low <= tol, f"max |tr P_S^2| = {worst_low:.3e}")
-    )
-
-    # the purities of size s run from starts[s] in size order
-    by_size = purities[np.argsort(sizes)]
-    starts = list(itertools.accumulate((math.comb(n, s) for s in range(n)), initial=0))
-    ranges = np.maximum.reduceat(by_size, starts) - np.minimum.reduceat(by_size, starts)
-    spread = float(ranges[m + 1 :].max())
-    checks.append(
-        ("equal values across equal-size supports", spread <= tol, f"max spread {spread:.3e}")
-    )
-
-    # pi_cf(s) = d^-2s sum_w C(s, w) d^(s-w) t_w inverts the transform, with
-    # t_0 = 1, t_w = 0 at 1..m and the closed forms above m; num holds
-    # den * t_w, integers, so each value is one exact quotient rounded once
-    closed = [trace_closed_form(params, i) for i in range(1, params.i_max + 1)]
-    den = math.lcm(*(t.denominator for t in closed))
-    num = [den] + [0] * m + [int(den * t) for t in closed]
-    want = [
-        sum(math.comb(s, w) * d ** (s - w) * num[w] for w in range(s + 1)) / (den * d ** (2 * s))
-        for s in range(n + 1)
-    ]
-    closed_dev = float(abs(purities - np.array(want)[sizes]).max())
-    checks.append(
-        ("closed-form match", closed_dev <= tol, f"max deviation {closed_dev:.3e}")
-    )
-
-    checks.append(("projector property", proj <= tol, f"max residual {proj:.3e}"))
-    return checks
+    return oracle.weights.verification_rows(state, tol)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

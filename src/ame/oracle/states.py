@@ -192,9 +192,9 @@ def graph_state(spec: GraphSpec) -> StateVector:
 
 
 def load_state(path) -> StateVector:
-    """Read a state file: JSON with integer fields n, d and an `amplitudes`
-    array of [real, imaginary] pairs of JSON numbers, of length d**n (party 0
-    least significant).
+    """Read a state file: a JSON object with integer fields n, d and an
+    `amplitudes` array of [real, imaginary] pairs of JSON numbers, of length
+    d**n (party 0 least significant).
 
     Normalization is checked at tolerance 1e-9 and the vector is then
     rescaled to unit norm so the StateVector invariant holds at machine
@@ -203,6 +203,13 @@ def load_state(path) -> StateVector:
     with open(path) as fh:
         doc = json.load(fh)
     try:
+        # a list or a number would fail on its first field with a message
+        # naming no field
+        if type(doc) is not dict:
+            raise ValueError(
+                "the document must be a JSON object with fields 'n', 'd' and "
+                f"'amplitudes', got {type(doc).__name__}"
+            )
         n, d = doc["n"], doc["d"]
         # bool is an int subclass; 2.0 and "2" are not JSON integers
         for key, value in (("n", n), ("d", d)):
@@ -215,12 +222,13 @@ def load_state(path) -> StateVector:
         amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > FILE_NORM_TOL:
-        raise ValueError(f"state in {path} not normalized: norm = {norm!r}")
-    # a NaN norm gets here; StateVector rejects the result, so dividing by it
-    # must not also print a RuntimeWarning
-    with np.errstate(invalid="ignore"):
+    # amplitudes near 1e308 overflow the norm to inf, which the check below
+    # refuses, and a NaN norm passes it for StateVector to reject: neither
+    # may also print a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(amps))
+        if abs(norm - 1.0) > FILE_NORM_TOL:
+            raise ValueError(f"state in {path} not normalized: norm = {norm!r}")
         return StateVector(n, d, amps / norm)
 
 
@@ -231,6 +239,6 @@ def save_state(state: StateVector, path) -> None:
         "d": state.d,
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
+    # json.dump always runs the stdlib's pure-Python encoder; dumps uses its C one
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")

@@ -53,6 +53,16 @@ residual, and runs `_validate` on each stack.  Both fill the purity table
 `k_uniformity` reads the directly formed stacks of every k-party keep-set,
 wraps each matrix in its own `DensityMatrix`, on the parties of the mask the
 stack yields with it, and reads the deviation from I/dim once a stack.
+
+`verification_rows` is all of `ame verify` past reading the state, and the
+only code besides the sweeps that reads the purity table's bitmask layout.
+It admits the state first: at least two parties, then
+`check_desk_scale`, then verify's own work cap `MAX_VERIFY_WORK` on the
+estimate `_verify_work`.  It then runs one `verification_sweep` and turns it
+into five (name, ok, detail) rows, every one passing when its value is at
+most the tolerance.  Only the vanishing-weights row reads weight traces, by
+`_transform`; the equal-values and closed-form rows compare purities, the
+latter against those the exact `enumerator.trace_closed_form` traces give.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from ..enumerator import SystemParams, trace_closed_form
 from .states import StateVector, as_index
 
 DESK_SCALE = 10**6
@@ -74,6 +85,30 @@ def check_desk_scale(n: int, d: int) -> None:
     """Reject a state of n qudits with d**n > DESK_SCALE before any work on it."""
     if d**n > DESK_SCALE:
         raise ValueError(f"state too large: d**n = {d**n} > {DESK_SCALE}")
+
+
+# Work cap of `verification_rows`, in the units of `_verify_work`.  On a
+# 2-core host a unit takes about 0.2 ns on a complex state and 0.15 ns on a
+# real one, which is reduced in float64, once the reductions reach BLAS size.
+# The largest admitted states, read from state files, are ghz(15) at 4.1e10
+# units, which is real, and a complex (n, d) = (11, 3) state at 2.6e10:
+# `ame verify` takes 5.5-7.5 s and 4.0-5.6 s on them, with 41 and 68 MB peak
+# RSS.  The next ones, (16, 2) at 3.6e11 and (12, 3) at 4.9e11, are refused.
+MAX_VERIFY_WORK = 5 * 10**10
+
+
+def _verify_work(n: int, d: int) -> int:
+    """Estimated work units of `verification_rows` on n parties of dimension d.
+
+    A unit is one complex multiply-add of the reduction products: reducing
+    onto r parties costs d**(n + r), for each of the C(n, r) sets with
+    r <= floor(n/2).  Validating a reduction and reading its purity,
+    projector residual and deviation cost d**(3r), no more than forming it.
+    Every tier is counted as formed directly, although the sweep forms only
+    the floor(n/2)-party tier and traces the smaller ones down from it at
+    d**(2r + 1) a reduction, so the estimate is an upper bound.
+    """
+    return sum(math.comb(n, r) * d ** (n + r) for r in range(1, n // 2 + 1))
 
 
 def _validated_sites(state: StateVector, sites: Iterable[int], allow_empty: bool = False):
@@ -509,3 +544,57 @@ def verification_sweep(state: StateVector) -> tuple[float, float, np.ndarray]:
     # dev and proj are filled while the table is built
     purities = _purity_table(state, validated())
     return dev, proj, purities
+
+
+def verification_rows(state: StateVector, tol: float) -> list[tuple[str, bool, str]]:
+    """All state-level checks behind `ame verify`, as (name, ok, detail) rows.
+
+    The state is treated as an AME candidate: its floor(n/2)-party
+    reductions must be maximally mixed, every low-weight trace must vanish,
+    subsystem purities must be constant across equal-size supports and match
+    those the closed-form traces give, and every qualifying reduction must
+    satisfy the projector property.  A state of fewer than two parties, past
+    `DESK_SCALE` or past `MAX_VERIFY_WORK` is refused, in that order, before
+    any reduction.  Every row reads one `verification_sweep`, and each passes
+    when its value is at most `tol`; the detail prints the value at .3e.
+    """
+    n, d = state.n, state.d
+    if n < 2:
+        raise ValueError("verification needs at least two parties")
+    check_desk_scale(n, d)
+    work = _verify_work(n, d)
+    if work > MAX_VERIFY_WORK:
+        raise ValueError(
+            f"verification needs {work:.3e} work units, above the work cap of "
+            f"{MAX_VERIFY_WORK:.0e} units"
+        )
+    params = SystemParams(n=n, d=d)
+    m = params.m
+    dev, proj, purities = verification_sweep(state)
+    sizes = bit_counts(n)
+    # the purities of size s run from starts[s] in size order
+    by_size = purities[np.argsort(sizes)]
+    starts = list(itertools.accumulate((math.comb(n, s) for s in range(n)), initial=0))
+    spreads = np.maximum.reduceat(by_size, starts) - np.minimum.reduceat(by_size, starts)
+    # pi_cf(s) = d^-2s sum_w C(s, w) d^(s-w) t_w inverts the transform, with
+    # t_0 = 1, t_w = 0 at 1..m and the closed forms above m; num holds
+    # den * t_w, integers, so each value is one exact quotient rounded once
+    closed = [trace_closed_form(params, i) for i in range(1, params.i_max + 1)]
+    den = math.lcm(*(t.denominator for t in closed))
+    num = [den] + [0] * m + [int(den * t) for t in closed]
+    want = [
+        sum(math.comb(s, w) * d ** (s - w) * num[w] for w in range(s + 1)) / (den * d ** (2 * s))
+        for s in range(n + 1)
+    ]
+    # only the vanishing-weights row reads weight traces, at most about
+    # d^(2m) eps at desk scale; the rows after it compare purities, each at
+    # most 1, where the transform would weigh their rounding by up to d^(2n)
+    low = _transform(purities.copy(), d)[(sizes > 0) & (sizes <= m)]
+    rows = [
+        (f"k-uniformity (k={m})", dev, "max deviation"),
+        (f"vanishing weights 1..{m}", abs(low).max(), "max |tr P_S^2| ="),
+        ("equal values across equal-size supports", spreads[m + 1 :].max(), "max spread"),
+        ("closed-form match", abs(purities - np.array(want)[sizes]).max(), "max deviation"),
+        ("projector property", proj, "max residual"),
+    ]
+    return [(name, float(value) <= tol, f"{label} {value:.3e}") for name, value, label in rows]

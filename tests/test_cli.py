@@ -1,4 +1,5 @@
 import argparse
+import ast
 import itertools
 import json
 import math
@@ -20,11 +21,9 @@ from ame import cli
 from ame.cli import (
     MAX_BITS,
     MAX_N,
-    MAX_VERIFY_WORK,
     MAX_WORK,
     _check_size,
     _check_work,
-    _verify_work,
     _cell,
     _json,
     _work,
@@ -42,6 +41,7 @@ from ame.oracle import (
     save_state,
     weights,
 )
+from ame.oracle.weights import MAX_VERIFY_WORK, _verify_work
 from fractions import Fraction
 
 from reference_values import QUBIT_TRACES, reed_solomon_edges
@@ -118,6 +118,29 @@ def test_json_output_round_trips_byte_for_byte(capsys, argv):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code in (0, 2)
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_cli_reads_no_private_oracle_name():
+    # verify's numerics and the purity table's layout belong to the oracle:
+    # the CLI imports no numpy and reaches no oracle name starting with "_"
+    tree = ast.parse(Path(cli.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "oracle":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "numpy":
+                found.append(module)
+            elif module.split(".")[0] == "oracle":
+                found += [a.name for a in node.names if a.name.startswith("_")]
+    assert found == []
 
 
 def test_exact_subcommands_never_load_numpy():
@@ -412,12 +435,12 @@ def test_verify_purity_rows_written_out_from_subset_purities(n, d):
 
 
 def test_a_shifted_closed_form_fails_only_the_closed_form_row(monkeypatch):
-    original = cli.trace_closed_form
+    original = weights.trace_closed_form
 
     def shifted(params, i):
         return original(params, i % params.i_max + 1)
 
-    monkeypatch.setattr(cli, "trace_closed_form", shifted)
+    monkeypatch.setattr(weights, "trace_closed_form", shifted)
     rows = run_verification(builtin_state("ring5"), 1e-9)
     assert [name for name, ok, _ in rows if not ok] == ["closed-form match"]
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -275,6 +276,10 @@ def test_state_file_round_trip(tmp_path):
     loaded = load_state(path)
     assert loaded.n == 3 and loaded.d == 2
     assert np.allclose(loaded.amplitudes, original.amplitudes)
+    # one json.dumps write: the compact stdlib text and a trailing newline
+    amplitudes = [[float(a.real), float(a.imag)] for a in original.amplitudes]
+    doc = {"n": 3, "d": 2, "amplitudes": amplitudes}
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode()
 
 
 def test_load_state_rejects_unnormalized(tmp_path):
@@ -283,6 +288,17 @@ def test_load_state_rejects_unnormalized(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="not normalized"):
         load_state(path)
+
+
+# the norm of amplitudes near 1e308 overflows to inf: the file is refused as
+# not normalized, and no overflow RuntimeWarning comes before the error
+def test_load_state_overflowing_norm_is_refused_without_a_warning(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 1, "d": 2, "amplitudes": [[1e308, 0.0], [1e308, 0.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not normalized: norm = inf"):
+            load_state(path)
 
 
 def test_load_state_renormalizes_within_tolerance(tmp_path):
@@ -302,6 +318,12 @@ def test_load_state_rejects_malformed(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ValueError):
         load_state(path)
+    # a top-level array, number or null names the object and fields expected
+    for text, kind in (("[1, 2]", "list"), ("5", "int"), ("null", "NoneType")):
+        path.write_text(text)
+        expected = f"JSON object with fields 'n', 'd' and 'amplitudes', got {kind}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_state(path)
 
 
 # int() would read 2.9 as 2 and "2" as 2, so a Bell file claiming n = 2.9 passed
